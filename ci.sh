@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> exp_e2e self-tests (the benchmark crate builds against this tree)"
+cargo test -q --offline --manifest-path exp_e2e/Cargo.toml
+
 echo "==> telemetry tests"
 cargo test -q -p dla-telemetry
 cargo test -q -p dla-audit --test telemetry_equivalence

@@ -52,11 +52,9 @@ pub fn count_matching(
     cluster: &mut DlaCluster,
     criteria: &str,
 ) -> Result<CountOutcome, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = exec::execute_with_reveal(cluster, &plan, false)?;
+    let plan = cluster.plan_query(criteria)?;
+    let seed = cluster.next_query_seed();
+    let result = exec::execute_shared(cluster, &plan, false, exec::ExecMode::default(), seed)?;
     debug_assert!(result.glsns.is_empty(), "count must not reveal glsns");
     Ok(CountOutcome {
         count: result.cardinality,
@@ -95,11 +93,7 @@ pub fn sum_matching(
     })?;
 
     // Phase 1: the matching glsn set, revealed to the auditor engine.
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = exec::execute_with_reveal(cluster, &plan, true)?;
+    let result = cluster.query(criteria)?;
     let mut reports = result.reports;
     let glsns = result.glsns;
 
@@ -146,19 +140,25 @@ pub fn sum_matching(
     }
     drop(owner_store);
 
-    // Phase 3: the §3.5 secure sum over all nodes (owner contributes
-    // its partial, everyone else 0), reconstructed by the auditor.
-    let n = cluster.num_nodes();
-    let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let inputs: Vec<F61> = (0..n)
-        .map(|i| {
-            if i == owner {
+    // Phase 3: the §3.5 secure sum over every serving (non-retired)
+    // node (owner contributes its partial, everyone else 0),
+    // reconstructed by the auditor.
+    let retired = cluster.retired_nodes();
+    let parties: Vec<NodeId> = (0..cluster.num_nodes())
+        .filter(|i| !retired.contains(i))
+        .map(NodeId)
+        .collect();
+    let inputs: Vec<F61> = parties
+        .iter()
+        .map(|p| {
+            if p.0 == owner {
                 F61::new(partial)
             } else {
                 F61::ZERO
             }
         })
         .collect();
+    let n = parties.len();
     let k = (n / 2 + 1).min(n);
     let (mut net, rng) = cluster.net_and_rng();
     let sum = secure_sum(&mut net, &parties, &inputs, k, auditor, rng).map_err(AuditError::Mpc)?;

@@ -2,6 +2,8 @@
 //! fragments, an auditor engine, application users logging through
 //! tickets, and the simulated network tying them together.
 
+use crate::exec::{execute_shared, ExecMode};
+use crate::plan::QueryPlan;
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
@@ -865,15 +867,16 @@ impl DlaCluster {
         (self.net.lock(), &mut self.rng)
     }
 
-    /// The cluster RNG (seeding derived per-session generators).
-    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Allocates a fresh query index (deterministic per-query seed
-    /// derivation for [`DlaCluster::query_shared`]).
-    pub(crate) fn next_query_index(&self) -> u64 {
-        self.query_counter.fetch_add(1, Ordering::Relaxed)
+    /// The seed rule for every ad-hoc query, aggregate, rule,
+    /// correlation and resilient attempt: the cluster seed mixed with a
+    /// fresh index from an atomic counter, so concurrent auditors on
+    /// `&self` get distinct, reproducible protocol randomness.
+    pub(crate) fn next_query_seed(&self) -> u64 {
+        let mut index = self
+            .query_counter
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(0xA5A5_5A5A);
+        self.seed ^ rand::splitmix64(&mut index)
     }
 
     /// The configured base seed.
@@ -1300,13 +1303,10 @@ impl DlaCluster {
         &mut self,
         criteria: &str,
     ) -> Result<crate::standing::StandingQueryId, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
         // Fail registration, not some later seal, on an unplannable
         // query.
-        crate::plan::plan(&normalized, &self.ctx.partition)?;
-        let id = self.standing.register(criteria, normalized);
+        self.plan_query(criteria)?;
+        let id = self.standing.register(criteria);
         self.meta_log(
             "cluster",
             "standing-register",
@@ -1378,12 +1378,11 @@ impl DlaCluster {
                 (stats.glsn_lo, stats.glsn_hi)
             }
         };
-        let normalized = self
+        let criteria = self
             .standing
-            .normalized(id)
+            .criteria(id)
             .expect("delta for a registered query");
-        let partition = self.effective_partition();
-        let plan = crate::plan::plan(&normalized, &partition)?;
+        let plan = self.plan_query(criteria)?;
         // Deterministic per (cluster, query, epoch): re-evaluations and
         // restarted clusters replay identical protocol transcripts.
         let seed_digest = dla_crypto::sha256::digest_parts(&[
@@ -1395,12 +1394,12 @@ impl DlaCluster {
         let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
         let result = {
             let reliable = dla_net::Reliable::with_config(self.shared_net(), self.retransmit);
-            crate::exec::execute_on_clamped(
+            crate::exec::execute_on(
                 self,
                 &reliable,
                 &plan,
                 true,
-                crate::exec::ExecMode::default(),
+                ExecMode::default(),
                 query_seed,
                 Some(clamp),
             )?
@@ -1479,60 +1478,35 @@ impl DlaCluster {
 
     /// Parses, normalizes, plans and executes an auditing query,
     /// returning the satisfying glsns (computed distributively; see
-    /// [`crate::exec`]).
+    /// [`crate::exec`]). Takes `&self`, so many auditors can issue
+    /// queries from separate threads at once: every subquery (and the
+    /// final conjunction) runs in its own transport session, seeded
+    /// from the cluster seed and an atomic query counter.
     ///
     /// # Errors
     ///
     /// Returns [`AuditError`] on parse/plan/protocol failures.
-    pub fn query(&mut self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        self.query_criteria(&parsed)
+    pub fn query(&self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
+        let plan = self.plan_query(criteria)?;
+        let seed = self.next_query_seed();
+        execute_shared(self, &plan, true, ExecMode::default(), seed)
     }
 
-    /// Plans and executes an already-built criteria tree.
+    /// Type-checks, plans and executes an already-built criteria tree.
     ///
     /// # Errors
     ///
     /// As [`DlaCluster::query`].
     pub fn query_criteria(
-        &mut self,
+        &self,
         criteria: &crate::query::Criteria,
     ) -> Result<crate::exec::QueryResult, AuditError> {
         criteria
             .check(&self.ctx.schema)
             .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(criteria);
-        let plan = crate::plan::plan(&normalized, &self.ctx.partition)?;
-        crate::exec::execute(self, &plan)
-    }
-
-    /// Like [`DlaCluster::query`], but on a **shared** reference, so
-    /// many auditors can issue queries from separate threads at once.
-    /// Every subquery (and the final conjunction) runs in its own
-    /// transport session; per-query randomness derives from the cluster
-    /// seed and an atomic query counter instead of the exclusive RNG.
-    ///
-    /// # Errors
-    ///
-    /// As [`DlaCluster::query`].
-    pub fn query_shared(&self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
-        let plan = crate::plan::plan(&normalized, &self.ctx.partition)?;
-        let mut index = self.next_query_index().wrapping_add(0xA5A5_5A5A);
-        let query_seed = self.seed ^ rand::splitmix64(&mut index);
-        crate::exec::execute_shared(
-            self,
-            &plan,
-            true,
-            crate::exec::ExecMode::Concurrent,
-            query_seed,
-        )
+        let plan = self.plan_criteria(criteria)?;
+        let seed = self.next_query_seed();
+        execute_shared(self, &plan, true, ExecMode::default(), seed)
     }
 
     /// Like [`DlaCluster::query`], but executed through the
@@ -1552,11 +1526,30 @@ impl DlaCluster {
     ) -> Result<crate::exec::ResilientOutcome, AuditError> {
         let parsed = crate::parser::parse(criteria, &self.ctx.schema)
             .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.ctx.schema)
+        crate::exec::execute_resilient(self, &parsed, policy)
+    }
+
+    /// Parses `criteria` and plans it with [`DlaCluster::plan_criteria`].
+    /// The parser type-checks every predicate against the schema, so
+    /// text needs no second check.
+    pub(crate) fn plan_query(&self, criteria: &str) -> Result<QueryPlan, AuditError> {
+        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
             .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
-        crate::exec::execute_resilient(self, &normalized, policy)
+        self.plan_criteria(&parsed)
+    }
+
+    /// The one planning step of every query on this cluster: normalize
+    /// to CNF and plan against the [effective
+    /// partition](DlaCluster::effective_partition), so queries issued
+    /// after a node was retired route around it.
+    pub(crate) fn plan_criteria(
+        &self,
+        criteria: &crate::query::Criteria,
+    ) -> Result<QueryPlan, AuditError> {
+        crate::plan::plan(
+            &crate::normal::normalize(criteria),
+            &self.effective_partition(),
+        )
     }
 
     /// Whether standby fragment replication is enabled.
@@ -2050,6 +2043,63 @@ mod tests {
         assert_eq!(outcome.replans, 1);
         assert_eq!(outcome.excluded, [2].into_iter().collect());
         assert!(outcome.repairs[0].is_fully_verified());
+    }
+
+    #[test]
+    fn plain_queries_route_around_a_node_the_resilient_ladder_retired() {
+        use crate::aggregate::{count_matching, sum_matching};
+        let (mut c, _) = standby_cluster();
+        let criteria = "tid = 'T1100267' and c2 > 100.00";
+        let c2 = AttrName::new("c2");
+        let glsns = c.query(criteria).unwrap().glsns;
+        let count = count_matching(&mut c, criteria).unwrap().count;
+        let sum = sum_matching(&mut c, criteria, &c2).unwrap();
+        assert!(!glsns.is_empty());
+
+        c.net_mut().faults_mut().kill_node(2);
+        let policy = crate::exec::ResilientPolicy::default();
+        let outcome = c.query_resilient(criteria, &policy).unwrap();
+        assert_eq!(outcome.excluded, [2].into_iter().collect());
+
+        // Every later query plans against the effective partition, so
+        // none of them sends to the dead node.
+        assert_eq!(c.query(criteria).unwrap().glsns, glsns);
+        assert_eq!(count_matching(&mut c, criteria).unwrap().count, count);
+        let after = sum_matching(&mut c, criteria, &c2).unwrap();
+        assert_eq!((after.total, after.count), (sum.total, sum.count));
+    }
+
+    #[test]
+    fn every_query_entry_rejects_an_ill_typed_predicate() {
+        use crate::aggregate::{count_matching, sum_matching};
+        use crate::query::{CmpOp, Criteria, Predicate};
+        let (mut c, _) = standby_cluster();
+        let policy = crate::exec::ResilientPolicy::default();
+        let ill_typed = "c1 = id";
+        let by_hand = Criteria::pred(Predicate::with_attr("c1", CmpOp::Eq, "id"));
+        let c2 = AttrName::new("c2");
+        let entries: [(&str, Result<(), AuditError>); 5] = [
+            ("query", c.query(ill_typed).map(drop)),
+            ("query_criteria", c.query_criteria(&by_hand).map(drop)),
+            (
+                "query_resilient",
+                c.query_resilient(ill_typed, &policy).map(drop),
+            ),
+            (
+                "count_matching",
+                count_matching(&mut c, ill_typed).map(drop),
+            ),
+            (
+                "sum_matching",
+                sum_matching(&mut c, ill_typed, &c2).map(drop),
+            ),
+        ];
+        for (entry, outcome) in entries {
+            assert!(
+                matches!(outcome, Err(AuditError::Parse(_))),
+                "{entry} must reject {ill_typed} as a parse error, got {outcome:?}"
+            );
+        }
     }
 
     fn epoch_cluster(epoch_length: u64) -> DlaCluster {

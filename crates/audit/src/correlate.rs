@@ -102,10 +102,7 @@ pub fn detect(
 
     // Step 1: the matching glsns (distributed query, revealed to the
     // auditor engine — glsns only).
-    let parsed = crate::parser::parse(&rule.event_criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let plan = crate::plan::plan(&crate::normal::normalize(&parsed), cluster.partition())?;
-    let result = crate::exec::execute(cluster, &plan)?;
+    let result = cluster.query(&rule.event_criteria)?;
     if result.glsns.is_empty() {
         return Ok(Vec::new());
     }

@@ -319,13 +319,7 @@ fn run_query(
     criteria: &str,
     query_seed: u64,
 ) -> Result<Vec<u64>, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    parsed
-        .check(cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
+    let plan = cluster.plan_query(criteria)?;
     let result = crate::exec::execute_on(
         cluster,
         transport,
@@ -333,6 +327,7 @@ fn run_query(
         true,
         ExecMode::Concurrent,
         query_seed,
+        None,
     )?;
     Ok(result.glsns.iter().map(|g| g.0).collect())
 }

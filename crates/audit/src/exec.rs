@@ -110,55 +110,17 @@ fn glsn_from_item(bytes: &[u8], total_len: usize) -> Result<Glsn, AuditError> {
     )))
 }
 
-/// Executes a plan on the cluster (concurrent scheduler, with reveal).
+/// [`execute_on`] over the cluster's own shared network with no clamp.
+/// All randomness derives from `query_seed` (the cluster's own queries
+/// draw it from an atomic counter mixed with the cluster seed), so
+/// multiple auditors can execute queries from separate threads
+/// simultaneously. With `reveal = false` the auditor learns only the
+/// **cardinality** of the result (the confidential "number of
+/// transactions" aggregate) and `QueryResult::glsns` stays empty.
 ///
 /// # Errors
 ///
-/// Returns [`AuditError`] on protocol failures, type errors during
-/// scanning, or unsupported cross-node operations (text ordering).
-pub fn execute(cluster: &mut DlaCluster, plan: &QueryPlan) -> Result<QueryResult, AuditError> {
-    execute_with_reveal(cluster, plan, true)
-}
-
-/// Like [`execute`], but with the final reveal optional: with
-/// `reveal = false` the auditor learns only the **cardinality** of the
-/// result (the confidential "number of transactions" aggregate) and
-/// `QueryResult::glsns` stays empty.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_reveal(
-    cluster: &mut DlaCluster,
-    plan: &QueryPlan,
-    reveal: bool,
-) -> Result<QueryResult, AuditError> {
-    execute_with_options(cluster, plan, reveal, ExecMode::default())
-}
-
-/// [`execute_with_reveal`] with an explicit [`ExecMode`].
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_options(
-    cluster: &mut DlaCluster,
-    plan: &QueryPlan,
-    reveal: bool,
-    mode: ExecMode,
-) -> Result<QueryResult, AuditError> {
-    use rand::Rng;
-    let query_seed: u64 = cluster.rng_mut().gen();
-    execute_shared(cluster, plan, reveal, mode, query_seed)
-}
-
-/// The shared-reference executor: runs a plan against `&DlaCluster`,
-/// deriving all randomness from `query_seed`, so multiple auditors can
-/// execute queries from separate threads simultaneously.
-///
-/// # Errors
-///
-/// As [`execute`].
+/// As [`execute_on`].
 ///
 /// # Panics
 ///
@@ -177,32 +139,8 @@ pub fn execute_shared(
         reveal,
         mode,
         query_seed,
+        None,
     )
-}
-
-/// [`execute_shared`] over an explicit transport. Session management
-/// (allocation, clock sync, accounting) always runs on the cluster's
-/// own network; `transport` only carries the protocol traffic — pass a
-/// [`dla_net::Reliable`] wrapper around [`DlaCluster::shared_net`] to
-/// run the same query with ARQ protection on a lossy network.
-///
-/// # Errors
-///
-/// As [`execute`], plus [`dla_net::NetError::Timeout`] (wrapped in
-/// [`AuditError`]) when the reliable layer exhausts its retries.
-///
-/// # Panics
-///
-/// Panics if a subquery worker thread panics.
-pub fn execute_on(
-    cluster: &DlaCluster,
-    transport: &(dyn Transport + Sync),
-    plan: &QueryPlan,
-    reveal: bool,
-    mode: ExecMode,
-    query_seed: u64,
-) -> Result<QueryResult, AuditError> {
-    execute_on_clamped(cluster, transport, plan, reveal, mode, query_seed, None)
 }
 
 /// Intersection of two optional inclusive glsn windows (`None` = no
@@ -219,21 +157,31 @@ pub(crate) fn intersect_glsn_windows(
     }
 }
 
-/// [`execute_on`] with an additional glsn `clamp` intersected into the
-/// plan's own epoch-pruning window. The standing-query engine uses this
-/// to evaluate a registered query against *one just-sealed epoch's*
-/// glsn range — the incremental delta — without touching the rest of
-/// the trail.
+/// The executor: runs a plan over an explicit transport. Session
+/// management (allocation, clock sync, accounting) always runs on the
+/// cluster's own network; `transport` only carries the protocol
+/// traffic — pass a [`dla_net::Reliable`] wrapper around
+/// [`DlaCluster::shared_net`] to run the same query with ARQ protection
+/// on a lossy network.
+///
+/// `clamp` is a glsn range intersected into the plan's own
+/// epoch-pruning window. The standing-query engine uses it to evaluate
+/// a registered query against *one just-sealed epoch's* glsn range —
+/// the incremental delta — without touching the rest of the trail;
+/// every other caller passes `None`.
 ///
 /// # Errors
 ///
-/// As [`execute_on`].
+/// Returns [`AuditError`] on protocol failures, type errors during
+/// scanning, or unsupported cross-node operations (text ordering), plus
+/// [`dla_net::NetError::Timeout`] (wrapped in [`AuditError`]) when the
+/// reliable layer exhausts its retries.
 ///
 /// # Panics
 ///
 /// Panics if a subquery worker thread panics.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_on_clamped(
+pub fn execute_on(
     cluster: &DlaCluster,
     transport: &(dyn Transport + Sync),
     plan: &QueryPlan,
@@ -427,10 +375,6 @@ pub struct ResilientPolicy {
     /// Failure-detector tuning for the health probes run after a
     /// timed-out attempt.
     pub health: crate::health::HealthConfig,
-    /// Subquery scheduling mode.
-    pub mode: ExecMode,
-    /// Whether the final glsn set is revealed to the auditor.
-    pub reveal: bool,
 }
 
 impl Default for ResilientPolicy {
@@ -439,8 +383,6 @@ impl Default for ResilientPolicy {
             reliable: Some(ReliableConfig::default()),
             max_attempts: 4,
             health: crate::health::HealthConfig::default(),
-            mode: ExecMode::default(),
-            reveal: true,
         }
     }
 }
@@ -492,10 +434,9 @@ fn retryable(e: &AuditError) -> bool {
 /// answering without them would be silently wrong.
 pub fn execute_resilient(
     cluster: &mut DlaCluster,
-    normalized: &crate::normal::NormalizedQuery,
+    criteria: &crate::query::Criteria,
     policy: &ResilientPolicy,
 ) -> Result<ResilientOutcome, AuditError> {
-    use rand::Rng;
     let mut monitor = crate::health::HealthMonitor::new(cluster, policy.health.clone());
     for node in cluster.retired_nodes() {
         monitor.mark_dead(node);
@@ -505,25 +446,26 @@ pub fn execute_resilient(
     let mut attempt = 0;
     loop {
         attempt += 1;
-        let partition = cluster.effective_partition();
-        let plan = crate::plan::plan(normalized, &partition)?;
-        let query_seed: u64 = cluster.rng_mut().gen();
+        let plan = cluster.plan_criteria(criteria)?;
         let run = {
             let net = cluster.shared_net();
-            match &policy.reliable {
-                Some(config) => {
-                    let reliable = Reliable::with_config(net, *config);
-                    execute_on(
-                        cluster,
-                        &reliable,
-                        &plan,
-                        policy.reveal,
-                        policy.mode,
-                        query_seed,
-                    )
-                }
-                None => execute_on(cluster, net, &plan, policy.reveal, policy.mode, query_seed),
-            }
+            let reliable = policy
+                .reliable
+                .map(|config| Reliable::with_config(net, config));
+            let transport: &(dyn Transport + Sync) = match &reliable {
+                Some(reliable) => reliable,
+                None => net,
+            };
+            let query_seed = cluster.next_query_seed();
+            execute_on(
+                cluster,
+                transport,
+                &plan,
+                true,
+                ExecMode::default(),
+                query_seed,
+                None,
+            )
         };
         match run {
             Ok(result) => {
@@ -1036,7 +978,7 @@ mod tests {
     }
 
     fn run(query: &str) -> (Vec<usize>, QueryResult) {
-        let (mut cluster, _user, glsns) = loaded_cluster();
+        let (cluster, _user, glsns) = loaded_cluster();
         let result = cluster.query(query).unwrap();
         let indices: Vec<usize> = result
             .glsns
@@ -1129,11 +1071,9 @@ mod tests {
 
     #[test]
     fn concurrent_subqueries_run_in_separate_sessions() {
-        let (mut cluster, _user, _glsns) = loaded_cluster();
-        let parsed = crate::parser::parse("c1 > 30 AND id = 'U1'", cluster.schema()).unwrap();
-        let normalized = crate::normal::normalize(&parsed);
-        let plan = crate::plan::plan(&normalized, cluster.partition()).unwrap();
-        let result = execute_with_options(&mut cluster, &plan, true, ExecMode::Concurrent).unwrap();
+        let (cluster, _user, _glsns) = loaded_cluster();
+        let plan = cluster.plan_query("c1 > 30 AND id = 'U1'").unwrap();
+        let result = execute_shared(&cluster, &plan, true, ExecMode::Concurrent, 1).unwrap();
         assert_eq!(result.sessions.len(), plan.subqueries.len());
         let net = cluster.net();
         for &sid in &result.sessions {
@@ -1154,13 +1094,11 @@ mod tests {
             "id != c3",
             "NOT (protocol = 'UDP' OR c1 >= 45)",
         ] {
-            let (mut cluster, _user, _) = loaded_cluster();
-            let parsed = crate::parser::parse(q, cluster.schema()).unwrap();
-            let normalized = crate::normal::normalize(&parsed);
-            let plan = crate::plan::plan(&normalized, cluster.partition()).unwrap();
-            let serial = execute_with_options(&mut cluster, &plan, true, ExecMode::Serial).unwrap();
+            let (cluster, _user, _) = loaded_cluster();
+            let plan = cluster.plan_query(q).unwrap();
+            let serial = execute_shared(&cluster, &plan, true, ExecMode::Serial, 1).unwrap();
             let concurrent =
-                execute_with_options(&mut cluster, &plan, true, ExecMode::Concurrent).unwrap();
+                execute_shared(&cluster, &plan, true, ExecMode::Concurrent, 2).unwrap();
             assert_eq!(serial.glsns, concurrent.glsns, "query {q}");
             assert_eq!(serial.cardinality, concurrent.cardinality, "query {q}");
         }
@@ -1185,17 +1123,12 @@ mod tests {
             c
         };
         let q = "c1 > 30 AND id = 'U1' AND protocol = 'TCP'";
-        let plan_for = |c: &DlaCluster| {
-            let parsed = crate::parser::parse(q, c.schema()).unwrap();
-            crate::plan::plan(&crate::normal::normalize(&parsed), c.partition()).unwrap()
-        };
-        let mut serial_cluster = build();
-        let plan = plan_for(&serial_cluster);
-        let serial =
-            execute_with_options(&mut serial_cluster, &plan, true, ExecMode::Serial).unwrap();
-        let mut conc_cluster = build();
+        let serial_cluster = build();
+        let plan = serial_cluster.plan_query(q).unwrap();
+        let serial = execute_shared(&serial_cluster, &plan, true, ExecMode::Serial, 1).unwrap();
+        let conc_cluster = build();
         let concurrent =
-            execute_with_options(&mut conc_cluster, &plan, true, ExecMode::Concurrent).unwrap();
+            execute_shared(&conc_cluster, &plan, true, ExecMode::Concurrent, 1).unwrap();
         assert_eq!(serial.glsns, concurrent.glsns);
         assert!(
             concurrent.elapsed <= serial.elapsed,

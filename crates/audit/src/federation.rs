@@ -802,9 +802,6 @@ impl FederatedCluster {
     pub fn route(&self, criteria: &str) -> Result<BTreeSet<usize>, AuditError> {
         let parsed = crate::parser::parse(criteria, &self.schema)
             .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
         let normalized = crate::normal::normalize(&parsed);
         let mut candidate: BTreeSet<usize> = (0..self.rings.len()).collect();
         for clause in normalized.clauses() {
@@ -842,20 +839,7 @@ impl FederatedCluster {
     /// Returns [`AuditError`] on parse/plan/protocol failure in any
     /// target ring.
     pub fn query(&mut self, criteria: &str) -> Result<FederatedQueryResult, AuditError> {
-        let targets = self.route(criteria)?;
-        let mut glsns: Vec<Glsn> = Vec::new();
-        for &ring in &targets {
-            let result = self.rings[ring].query(criteria)?;
-            glsns.extend(result.glsns);
-        }
-        glsns.sort_unstable();
-        let records = self.identify(&glsns)?;
-        Ok(FederatedQueryResult {
-            cardinality: glsns.len(),
-            glsns,
-            records,
-            rings_queried: targets.into_iter().collect(),
-        })
+        self.fan_out(criteria, |ring| Ok(ring.query(criteria)?.glsns))
     }
 
     /// As [`FederatedCluster::query`], but every routed ring executes
@@ -873,11 +857,23 @@ impl FederatedCluster {
         criteria: &str,
         policy: &crate::exec::ResilientPolicy,
     ) -> Result<FederatedQueryResult, AuditError> {
+        self.fan_out(criteria, |ring| {
+            Ok(ring.query_resilient(criteria, policy)?.result.glsns)
+        })
+    }
+
+    /// The federated query fan-out: route `criteria`, run `per_ring` on
+    /// every target ring, and union the sorted answers before
+    /// identifying their owners.
+    fn fan_out(
+        &mut self,
+        criteria: &str,
+        mut per_ring: impl FnMut(&mut DlaCluster) -> Result<Vec<Glsn>, AuditError>,
+    ) -> Result<FederatedQueryResult, AuditError> {
         let targets = self.route(criteria)?;
         let mut glsns: Vec<Glsn> = Vec::new();
         for &ring in &targets {
-            let outcome = self.rings[ring].query_resilient(criteria, policy)?;
-            glsns.extend(outcome.result.glsns);
+            glsns.extend(per_ring(&mut self.rings[ring])?);
         }
         glsns.sort_unstable();
         let records = self.identify(&glsns)?;

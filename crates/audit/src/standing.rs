@@ -5,13 +5,13 @@
 //! re-planning and re-scanning the whole trail per poll is the exact
 //! access pattern the epoch-sealed trail (§4.1) was built to amortize.
 //! A standing query is registered **once**
-//! ([`crate::cluster::DlaCluster::register_standing`]): the CNF is
-//! parsed, normalized and validated up front, and from then on every
-//! epoch seal evaluates the query against *only the just-sealed
-//! epoch's glsn range* (via [`crate::exec::execute_on_clamped`], under
-//! the cluster's ARQ configuration) and pushes the incremental
-//! [`StandingDelta`] to the subscriber. The accumulated union of
-//! deltas equals a fresh [`crate::cluster::DlaCluster::query_shared`]
+//! ([`crate::cluster::DlaCluster::register_standing`]): the criteria
+//! are parsed and planned up front to reject an invalid query, and from
+//! then on every epoch seal evaluates the query against *only the
+//! just-sealed epoch's glsn range* (via [`crate::exec::execute_on`]
+//! with a glsn clamp, under the cluster's ARQ configuration) and pushes
+//! the incremental [`StandingDelta`] to the subscriber. The accumulated
+//! union of deltas equals a fresh [`crate::cluster::DlaCluster::query`]
 //! restricted to sealed epochs — proven byte-identical under chaos in
 //! `standing_chaos.rs`.
 //!
@@ -20,7 +20,6 @@
 //! subscribers converge on the same accumulated answer regardless of
 //! when they joined.
 
-use crate::normal::NormalizedQuery;
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::Glsn;
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,7 +52,6 @@ pub struct StandingDelta {
 /// One registered subscription.
 struct StandingEntry {
     criteria: String,
-    normalized: NormalizedQuery,
     /// Accumulated union of all delta glsns.
     matches: BTreeSet<Glsn>,
     /// Deltas emitted but not yet drained by the subscriber.
@@ -73,15 +71,14 @@ pub struct StandingRegistry {
 }
 
 impl StandingRegistry {
-    /// Registers a parsed-and-normalized query, returning its id.
-    pub fn register(&mut self, criteria: &str, normalized: NormalizedQuery) -> StandingQueryId {
+    /// Registers a validated query, returning its id.
+    pub fn register(&mut self, criteria: &str) -> StandingQueryId {
         let id = StandingQueryId(self.next);
         self.next += 1;
         self.entries.insert(
             id,
             StandingEntry {
                 criteria: criteria.to_owned(),
-                normalized,
                 matches: BTreeSet::new(),
                 pending: Vec::new(),
                 evaluated: BTreeSet::new(),
@@ -112,13 +109,6 @@ impl StandingRegistry {
     #[must_use]
     pub fn criteria(&self, id: StandingQueryId) -> Option<&str> {
         self.entries.get(&id).map(|e| e.criteria.as_str())
-    }
-
-    /// The normalized form of `id` (cloned so the seal path can plan
-    /// against it while holding `&mut` cluster state).
-    #[must_use]
-    pub fn normalized(&self, id: StandingQueryId) -> Option<NormalizedQuery> {
-        self.entries.get(&id).map(|e| e.normalized.clone())
     }
 
     /// Whether `id` has already folded `epoch` in.
@@ -177,16 +167,10 @@ impl StandingRegistry {
 mod tests {
     use super::*;
 
-    fn normalized(criteria: &str) -> NormalizedQuery {
-        let schema = dla_logstore::schema::Schema::paper_example();
-        let parsed = crate::parser::parse(criteria, &schema).unwrap();
-        crate::normal::normalize(&parsed)
-    }
-
     #[test]
     fn registry_accumulates_and_drains_deltas() {
         let mut reg = StandingRegistry::default();
-        let id = reg.register("protocol = 'UDP'", normalized("protocol = 'UDP'"));
+        let id = reg.register("protocol = 'UDP'");
         assert_eq!(reg.criteria(id), Some("protocol = 'UDP'"));
         assert!(!reg.evaluated(id, EpochId(0)));
 
@@ -211,8 +195,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_ordered() {
         let mut reg = StandingRegistry::default();
-        let a = reg.register("c1 > 5", normalized("c1 > 5"));
-        let b = reg.register("c1 > 9", normalized("c1 > 9"));
+        let a = reg.register("c1 > 5");
+        let b = reg.register("c1 > 9");
         assert_ne!(a, b);
         assert_eq!(reg.ids(), vec![a, b]);
         assert_eq!(reg.len(), 2);

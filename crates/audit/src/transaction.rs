@@ -229,11 +229,10 @@ pub fn verify_transaction(
                         AttrValue::text(id),
                     )));
                 }
-                let result = crate::exec::execute_with_reveal(
-                    cluster,
-                    &crate::plan::plan(&crate::normal::normalize(&criteria), cluster.partition())?,
-                    false,
-                )?;
+                let plan = cluster.plan_criteria(&criteria)?;
+                let seed = cluster.next_query_seed();
+                let mode = crate::exec::ExecMode::default();
+                let result = crate::exec::execute_shared(cluster, &plan, false, mode, seed)?;
                 RuleVerdict {
                     rule: rule.clone(),
                     ok: result.cardinality == 0,
@@ -299,11 +298,7 @@ fn scalar_from_owner(
     tag: u8,
     compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
 ) -> Result<Option<u64>, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = crate::exec::execute(cluster, &plan)?;
+    let result = cluster.query(criteria)?;
     owner_scalar_over_glsns(cluster, &result.glsns, attr, tag, compute)
 }
 

@@ -143,8 +143,8 @@ fn cluster_queries_match_across_batch_modes() {
         "id = c3",
         "(id = 'U1' OR c1 > 0) AND protocol = 'UDP'",
     ];
-    let (mut serial_cluster, _) = loaded_cluster(33, BatchMode::Serial, true);
-    let (mut pooled_cluster, _) = loaded_cluster(33, POOLED, true);
+    let (serial_cluster, _) = loaded_cluster(33, BatchMode::Serial, true);
+    let (pooled_cluster, _) = loaded_cluster(33, POOLED, true);
     for criteria in queries {
         let serial = serial_cluster.query(criteria).expect("serial query");
         let pooled = pooled_cluster.query(criteria).expect("pooled query");

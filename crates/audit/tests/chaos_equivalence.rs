@@ -131,8 +131,7 @@ proptest! {
         let (mut cluster, records, glsns) = chaotic_cluster(seed);
         let expect = centralized_reference(&criteria, &records, &glsns);
         let policy = ResilientPolicy::default();
-        let normalized = dla_audit::normal::normalize(&criteria);
-        let outcome = dla_audit::exec::execute_resilient(&mut cluster, &normalized, &policy)
+        let outcome = dla_audit::exec::execute_resilient(&mut cluster, &criteria, &policy)
             .unwrap_or_else(|e| panic!("resilient query {criteria} failed: {e}"));
         let got: BTreeSet<Glsn> = outcome.result.glsns.into_iter().collect();
         prop_assert_eq!(got, expect, "criteria {} diverged under loss", criteria);
@@ -161,6 +160,7 @@ proptest! {
             true,
             ExecMode::Serial,
             seed ^ 0x5EA1,
+            None,
         )
         .unwrap_or_else(|e| panic!("serial {criteria} failed: {e}"));
 
@@ -172,6 +172,7 @@ proptest! {
             true,
             ExecMode::Concurrent,
             seed ^ 0xC0C0,
+            None,
         )
         .unwrap_or_else(|e| panic!("concurrent {criteria} failed: {e}"));
 

@@ -23,12 +23,12 @@ const QUERIES: &[&str] = &[
     "(c1 > 10 OR c2 > 100.00) AND (id = 'U2' OR protocol = 'UDP') AND id != c3",
 ];
 
-/// Plans and runs `q` with the legacy serial executor.
-fn serial_query(cluster: &mut DlaCluster, q: &str) -> BTreeSet<Glsn> {
+/// Plans and runs `q` with the serial scheduler under a fixed seed.
+fn serial_query(cluster: &DlaCluster, q: &str) -> BTreeSet<Glsn> {
     let parsed = dla_audit::parser::parse(q, cluster.schema()).expect("parse");
     let normalized = dla_audit::normal::normalize(&parsed);
     let plan = dla_audit::plan::plan(&normalized, cluster.partition()).expect("plan");
-    dla_audit::exec::execute_with_options(cluster, &plan, true, dla_audit::exec::ExecMode::Serial)
+    dla_audit::exec::execute_shared(cluster, &plan, true, dla_audit::exec::ExecMode::Serial, 33)
         .unwrap_or_else(|e| panic!("serial query {q:?} failed: {e}"))
         .glsns
         .into_iter()
@@ -57,10 +57,10 @@ fn many_auditors_many_queries_match_serial_reference() {
 
     // Serial single-auditor reference, on an identically seeded and
     // loaded cluster.
-    let mut reference = loaded(33);
+    let reference = loaded(33);
     let expected: Vec<BTreeSet<Glsn>> = QUERIES
         .iter()
-        .map(|q| serial_query(&mut reference, q))
+        .map(|q| serial_query(&reference, q))
         .collect();
 
     // M auditor threads, each issuing N queries against the shared
@@ -76,7 +76,7 @@ fn many_auditors_many_queries_match_serial_reference() {
                     for round in 0..ROUNDS {
                         let qi = (a + round * 2) % QUERIES.len();
                         let result = cluster
-                            .query_shared(QUERIES[qi])
+                            .query(QUERIES[qi])
                             .unwrap_or_else(|e| panic!("shared query {qi} failed: {e}"));
                         let got: BTreeSet<Glsn> = result.glsns.into_iter().collect();
                         mine.push((qi, got, result.sessions));
@@ -126,13 +126,14 @@ fn many_auditors_many_queries_match_serial_reference() {
 
 #[test]
 fn shared_queries_from_one_thread_also_agree() {
-    // query_shared on &self must agree with &mut self query() even
-    // without any thread-level parallelism (pure session multiplexing).
-    let mut reference = loaded(7);
+    // query() on a shared cluster must agree with the serial reference
+    // even without any thread-level parallelism (pure session
+    // multiplexing).
+    let reference = loaded(7);
     let cluster = loaded(7);
     for q in QUERIES {
-        let want = serial_query(&mut reference, q);
-        let got: BTreeSet<Glsn> = cluster.query_shared(q).unwrap().glsns.into_iter().collect();
+        let want = serial_query(&reference, q);
+        let got: BTreeSet<Glsn> = cluster.query(q).unwrap().glsns.into_iter().collect();
         assert_eq!(got, want, "query {q:?} diverged");
     }
 }

@@ -136,9 +136,8 @@ fn centralized_reference(
 }
 
 fn resilient_answer(cluster: &mut DlaCluster, criteria: &Criteria, label: &str) -> BTreeSet<Glsn> {
-    let normalized = dla_audit::normal::normalize(criteria);
     let outcome =
-        dla_audit::exec::execute_resilient(cluster, &normalized, &ResilientPolicy::default())
+        dla_audit::exec::execute_resilient(cluster, criteria, &ResilientPolicy::default())
             .unwrap_or_else(|e| panic!("{label} query {criteria} failed: {e}"));
     outcome.result.glsns.into_iter().collect()
 }

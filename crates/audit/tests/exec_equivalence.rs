@@ -95,7 +95,7 @@ proptest! {
         criteria in arb_criteria(),
         seed in 0u64..1_000,
     ) {
-        let (mut cluster, records, glsns) = loaded_cluster(seed);
+        let (cluster, records, glsns) = loaded_cluster(seed);
         let expect: BTreeSet<Glsn> = records
             .iter()
             .zip(&glsns)
@@ -118,32 +118,36 @@ proptest! {
     }
 
     /// The concurrent subquery scheduler is an optimisation, not a
-    /// semantics change: for any randomized plan it must return the
-    /// same glsn set as the legacy serial executor.
+    /// semantics change: for any randomized plan and one query seed it
+    /// must return the same glsn set as the serial scheduler, over the
+    /// same traffic and the same protocol transcripts.
     #[test]
     fn concurrent_scheduler_matches_serial_on_random_plans(
         criteria in arb_criteria(),
         seed in 0u64..1_000,
     ) {
-        let (mut serial_cluster, _, _) = loaded_cluster(seed);
-        let (mut conc_cluster, _, _) = loaded_cluster(seed);
+        let (serial_cluster, _, _) = loaded_cluster(seed);
+        let (conc_cluster, _, _) = loaded_cluster(seed);
 
         let normalized = dla_audit::normal::normalize(&criteria);
         let plan = dla_audit::plan::plan(&normalized, serial_cluster.partition())
             .unwrap_or_else(|e| panic!("plan {criteria} failed: {e}"));
 
-        let serial = dla_audit::exec::execute_with_options(
-            &mut serial_cluster,
+        let query_seed = seed ^ 0x5EED;
+        let serial = dla_audit::exec::execute_shared(
+            &serial_cluster,
             &plan,
             true,
             dla_audit::exec::ExecMode::Serial,
+            query_seed,
         )
         .unwrap_or_else(|e| panic!("serial {criteria} failed: {e}"));
-        let concurrent = dla_audit::exec::execute_with_options(
-            &mut conc_cluster,
+        let concurrent = dla_audit::exec::execute_shared(
+            &conc_cluster,
             &plan,
             true,
             dla_audit::exec::ExecMode::Concurrent,
+            query_seed,
         )
         .unwrap_or_else(|e| panic!("concurrent {criteria} failed: {e}"));
 
@@ -151,6 +155,9 @@ proptest! {
         let concurrent_set: BTreeSet<Glsn> = concurrent.glsns.iter().copied().collect();
         prop_assert_eq!(serial_set, concurrent_set, "criteria {} diverged", criteria);
         prop_assert_eq!(serial.cardinality, concurrent.cardinality);
+        prop_assert_eq!(serial.messages, concurrent.messages, "criteria {}", criteria);
+        prop_assert_eq!(serial.bytes, concurrent.bytes, "criteria {}", criteria);
+        prop_assert_eq!(&serial.reports, &concurrent.reports, "criteria {}", criteria);
         // The concurrent run multiplexed each subquery over a fresh
         // session; the serial run stayed on the root session.
         prop_assert_eq!(concurrent.sessions.len(), plan.subqueries.len());
@@ -190,11 +197,11 @@ fn concurrent_execution_never_leaks_plaintext_values() {
     // the query-phase traffic begins after this mark.
     let logged_until = cluster.net().captured_payloads().len();
 
-    // Multi-subquery queries through the concurrent scheduler (the
-    // query_shared path), touching c3's owner node in several ways.
-    let _ = cluster.query_shared("id = c3").expect("join query");
+    // Multi-subquery queries through the concurrent scheduler, touching
+    // c3's owner node in several ways.
+    let _ = cluster.query("id = c3").expect("join query");
     let _ = cluster
-        .query_shared("(id = 'U1' OR c1 > 0) AND (protocol = 'UDP' OR c2 < 400.00) AND id != c3")
+        .query("(id = 'U1' OR c1 > 0) AND (protocol = 'UDP' OR c2 < 400.00) AND id != c3")
         .expect("cross query");
 
     let needle = secret_note.as_bytes();

@@ -62,8 +62,8 @@ fn cluster_queries_match_across_exp_algos() {
         "id = c3",
         "(id = 'U1' OR c1 > 0) AND protocol = 'UDP'",
     ];
-    let (mut accel, _) = loaded_cluster(53, ExpAlgo::Accel);
-    let (mut oracle, _) = loaded_cluster(53, ExpAlgo::Windowed);
+    let (accel, _) = loaded_cluster(53, ExpAlgo::Accel);
+    let (oracle, _) = loaded_cluster(53, ExpAlgo::Windowed);
     for criteria in queries {
         let a = accel.query(criteria).expect("accel query");
         let o = oracle.query(criteria).expect("oracle query");

@@ -137,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline property: over a lossy network, the accumulated
-    /// standing deltas equal a fresh shared-path query restricted to
+    /// standing deltas equal a fresh ad-hoc query restricted to
     /// sealed epochs, and both equal the centralized reference.
     #[test]
     fn standing_deltas_match_fresh_query_and_centralized_under_loss(
@@ -184,9 +184,9 @@ proptest! {
             .collect();
         prop_assert_eq!(evaluated, expected_epochs, "criteria {}", &src);
 
-        // Fresh shared-path answer, restricted to sealed epochs.
+        // Fresh ad-hoc answer, restricted to sealed epochs.
         let fresh: BTreeSet<Glsn> = cluster
-            .query_shared(&src)
+            .query(&src)
             .unwrap_or_else(|e| panic!("fresh query {src} failed: {e}"))
             .glsns
             .into_iter()

@@ -25,7 +25,7 @@ fn bench_query(c: &mut Criterion) {
             BenchmarkId::new("distributed", label),
             &query,
             |b, &query| {
-                let (mut cluster, _, _) = dla_bench::workload_cluster(4, 100, 13);
+                let (cluster, _, _) = dla_bench::workload_cluster(4, 100, 13);
                 b.iter(|| black_box(cluster.query(query).expect("query runs")));
             },
         );

@@ -95,13 +95,12 @@ fn answer_bytes(glsns: &[Glsn]) -> Vec<u8> {
 }
 
 fn timed_query(cluster: &mut DlaCluster, criteria: &Criteria, iters: usize) -> (f64, Vec<Glsn>) {
-    let normalized = dla_audit::normal::normalize(criteria);
     let mut best_ms = f64::INFINITY;
     let mut answer = Vec::new();
     for _ in 0..iters {
         let started = Instant::now();
         let outcome =
-            dla_audit::exec::execute_resilient(cluster, &normalized, &ResilientPolicy::default())
+            dla_audit::exec::execute_resilient(cluster, criteria, &ResilientPolicy::default())
                 .expect("query runs");
         best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1000.0);
         answer = outcome.result.glsns;

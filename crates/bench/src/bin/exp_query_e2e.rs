@@ -7,7 +7,7 @@
 
 use dla_audit::centralized::CentralizedAuditor;
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
-use dla_audit::exec::{execute_with_options, ExecMode};
+use dla_audit::exec::{execute_shared, ExecMode};
 use dla_bench::{fmt_bytes, render_table, timed};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
@@ -22,6 +22,10 @@ const QUERY: &str = "(id = 'U1' OR c1 > 80) AND c2 < 500.00 AND protocol = 'UDP'
 /// sessions to overlap.
 const SCHED_QUERY: &str = "(id = 'U1' OR c1 > 30) AND (protocol = 'TCP' OR c2 < 400.00) \
      AND (tid = 'T2' OR c2 > 100.00) AND id != c3";
+
+/// Query seed shared by both scheduler runs, so serial and concurrent
+/// execute byte-identical protocol transcripts.
+const SCHED_SEED: u64 = 7;
 
 /// One serial-vs-concurrent measurement of [`SCHED_QUERY`].
 struct SchedulerRun {
@@ -62,7 +66,7 @@ fn scheduler_run(mode: ExecMode) -> SchedulerRun {
     cluster.net_mut().reset_accounting();
 
     let (result, wall_ms) =
-        timed(|| execute_with_options(&mut cluster, &plan, true, mode).expect("query runs"));
+        timed(|| execute_shared(&cluster, &plan, true, mode, SCHED_SEED).expect("query runs"));
     let net = cluster.net();
     SchedulerRun {
         virtual_ns: result.elapsed.as_nanos(),
@@ -80,7 +84,7 @@ fn main() {
     // Part 1: cost vs workload size, distributed vs centralized.
     let mut rows = Vec::new();
     for records in [10usize, 50, 200, 500] {
-        let (mut cluster, _, _) = dla_bench::workload_cluster(4, records, 42);
+        let (cluster, _, _) = dla_bench::workload_cluster(4, records, 42);
         let before_msgs = cluster.net().stats().messages_sent;
         let before_bytes = cluster.net().stats().bytes_sent;
         let (dla_result, dla_ms) = timed(|| cluster.query(QUERY).expect("query runs"));
@@ -175,6 +179,8 @@ fn main() {
     let serial = scheduler_run(ExecMode::Serial);
     let concurrent = scheduler_run(ExecMode::Concurrent);
     assert_eq!(serial.matches, concurrent.matches, "same answers");
+    assert_eq!(serial.messages, concurrent.messages, "same traffic");
+    assert_eq!(serial.bytes, concurrent.bytes, "same traffic");
     let speedup = serial.virtual_ns as f64 / concurrent.virtual_ns.max(1) as f64;
     let rows = vec![
         vec![

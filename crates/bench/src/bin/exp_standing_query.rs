@@ -150,7 +150,7 @@ fn run_row(records: usize, iters: usize) -> Row {
     let sealed = sealed_glsns(&cluster);
     let started = Instant::now();
     let fresh: Vec<Glsn> = cluster
-        .query_shared(STANDING_CRITERIA)
+        .query(STANDING_CRITERIA)
         .expect("fresh query")
         .glsns
         .into_iter()

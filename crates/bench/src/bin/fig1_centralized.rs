@@ -50,7 +50,7 @@ fn main() {
     }
 
     // Distributed (Fig. 2) on the same workload.
-    let (mut cluster, _cluster_user, _glsns) = dla_bench::workload_cluster(4, 100, 10);
+    let (cluster, _cluster_user, _glsns) = dla_bench::workload_cluster(4, 100, 10);
     let dla_log_msgs = cluster.net().stats().messages_sent;
     let dla_log_bytes = cluster.net().stats().bytes_sent;
     let mut dla_rows = Vec::new();

@@ -68,7 +68,7 @@ fn main() {
     );
 
     // Execute on the loaded paper cluster and show the conjunction step.
-    let (mut cluster, _, _) = dla_bench::paper_cluster(3);
+    let (cluster, _, _) = dla_bench::paper_cluster(3);
     let result = cluster.query(q).expect("query executes");
     println!(
         "\nexecuted: {} subquery protocols + final ∩_s on glsn; result = {:?}",
