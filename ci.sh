@@ -55,46 +55,43 @@ assert fb["fixed_base_mont_mul_steps"] < fb["ladder_mont_mul_steps"], \
 PY
 fi
 
-echo "==> exp_crypto_hotpath --quick (asserts windowed beats binary, accel >= 2x windowed)"
+echo "==> exp_crypto_hotpath --quick (asserts identical kernel outputs, accel >= 2x generic > schoolbook)"
 cargo run --release -p dla-bench --bin exp_crypto_hotpath -- --quick >/dev/null
 if command -v jq >/dev/null 2>&1; then
     jq -e '
         .experiment == "crypto_hotpath"
-        and (.cells | length == 16)
-        and (.cells | all(has("elapsed_ms") and has("modexp")
-                          and has("mont_mul_steps") and has("modexp_per_sec")))
-        and ([.cells[] | select(.exp == "windowed" and .qr == "jacobi"
-                                and .batch == "serial")][0].modexp_per_sec
-             > [.cells[] | select(.exp == "binary" and .qr == "jacobi"
-                                  and .batch == "serial")][0].modexp_per_sec)
-        and (.speedup_accel_vs_windowed >= 2.0)
-        and ([.cells[] | select(.exp == "accel" and .qr == "jacobi"
-                                and .batch == "serial")][0].modexp_per_sec
-             >= 2 * [.cells[] | select(.exp == "windowed" and .qr == "jacobi"
-                                       and .batch == "serial")][0].modexp_per_sec)
+        and (.ssi | has("answer_items") and has("messages") and has("modexp"))
+        and (.ssi.answer_items > 0 and .ssi.messages > 0 and .ssi.modexp > 0)
+        and ([.kernels[].kernel] | sort == ["accel", "generic", "schoolbook"])
+        and (.kernels | all(has("elapsed_ms") and has("modexp_per_sec") and has("digest")))
+        and ([.kernels[].digest] | unique | length == 1)
+        and ([.kernels[] | select(.kernel == "accel")][0].modexp_per_sec
+             >= 2 * [.kernels[] | select(.kernel == "generic")][0].modexp_per_sec)
+        and ([.kernels[] | select(.kernel == "generic")][0].modexp_per_sec
+             > [.kernels[] | select(.kernel == "schoolbook")][0].modexp_per_sec)
     ' BENCH_crypto_hotpath.json >/dev/null
 else
     python3 - <<'PY'
 import json
 d = json.load(open("BENCH_crypto_hotpath.json"))
 assert d["experiment"] == "crypto_hotpath"
-cells = d["cells"]
-assert len(cells) == 16
-for c in cells:
-    for key in ("elapsed_ms", "modexp", "mont_mul_steps", "modexp_per_sec"):
-        assert key in c, key
-pick = lambda e, q, b: next(
-    c for c in cells if (c["exp"], c["qr"], c["batch"]) == (e, q, b)
-)
+ssi = d["ssi"]
+for key in ("answer_items", "messages", "modexp"):
+    assert key in ssi, key
+    assert ssi[key] > 0, key
+kernels = {k["kernel"]: k for k in d["kernels"]}
+assert len(d["kernels"]) == 3
+assert sorted(kernels) == ["accel", "generic", "schoolbook"]
+for k in kernels.values():
+    for key in ("elapsed_ms", "modexp_per_sec", "digest"):
+        assert key in k, key
+assert len({k["digest"] for k in kernels.values()}) == 1, "kernel outputs diverged"
 assert (
-    pick("windowed", "jacobi", "serial")["modexp_per_sec"]
-    > pick("binary", "jacobi", "serial")["modexp_per_sec"]
-), "windowed modexp throughput must strictly beat binary"
-assert d["speedup_accel_vs_windowed"] >= 2.0, "accel kernel below 2x over windowed"
+    kernels["accel"]["modexp_per_sec"] >= 2 * kernels["generic"]["modexp_per_sec"]
+), "accel modexp throughput must be at least 2x generic"
 assert (
-    pick("accel", "jacobi", "serial")["modexp_per_sec"]
-    >= 2 * pick("windowed", "jacobi", "serial")["modexp_per_sec"]
-), "accel modexp throughput must be at least 2x windowed"
+    kernels["generic"]["modexp_per_sec"] > kernels["schoolbook"]["modexp_per_sec"]
+), "generic modexp throughput must strictly beat schoolbook"
 PY
 fi
 

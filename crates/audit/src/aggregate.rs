@@ -88,9 +88,7 @@ pub fn sum_matching(
     criteria: &str,
     attr: &AttrName,
 ) -> Result<SumOutcome, AuditError> {
-    let owner = cluster.partition().node_of(attr).ok_or_else(|| {
-        AuditError::Planning(format!("attribute {attr} is not served by any node"))
-    })?;
+    let owner = cluster.attr_owner(attr)?;
 
     // Phase 1: the matching glsn set, revealed to the auditor engine.
     let result = cluster.query(criteria)?;
@@ -104,10 +102,12 @@ pub fn sum_matching(
     w.put_u8(0x70).put_list(&glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster
+        .net_mut()
+        .send(auditor, NodeId(owner.node), w.finish());
     let envelope = cluster
         .net_mut()
-        .recv_from(NodeId(owner), auditor)
+        .recv_from(NodeId(owner.node), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
     let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
@@ -116,19 +116,15 @@ pub fn sum_matching(
         .map_err(|e| AuditError::Parse(e.to_string()))?;
 
     let mut partial: u64 = 0;
-    let owner_store = cluster.node(owner).store();
     for glsn in &requested {
-        let Some(frag) = owner_store.get_local(*glsn) else {
-            continue;
-        };
-        match frag.values.get(attr) {
+        match cluster.owner_value(owner, attr, *glsn) {
             Some(AttrValue::Int(v)) | Some(AttrValue::Fixed2(v)) => {
-                if *v < 0 {
+                if v < 0 {
                     return Err(AuditError::Planning(format!(
                         "negative value in aggregate over {attr}"
                     )));
                 }
-                partial += *v as u64;
+                partial += v as u64;
             }
             Some(_) => {
                 return Err(AuditError::Planning(format!(
@@ -138,7 +134,6 @@ pub fn sum_matching(
             None => {}
         }
     }
-    drop(owner_store);
 
     // Phase 3: the §3.5 secure sum over every serving (non-retired)
     // node (owner contributes its partial, everyone else 0),
@@ -151,7 +146,7 @@ pub fn sum_matching(
     let inputs: Vec<F61> = parties
         .iter()
         .map(|p| {
-            if p.0 == owner {
+            if p.0 == owner.node {
                 F61::new(partial)
             } else {
                 F61::ZERO

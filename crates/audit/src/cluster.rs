@@ -7,7 +7,7 @@ use crate::plan::QueryPlan;
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, ExpAlgo};
+use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
 use dla_logstore::acl::{OperationSet, Ticket, TicketAuthority};
 use dla_logstore::epoch::{EpochId, EpochPolicy};
@@ -50,16 +50,6 @@ pub struct ClusterConfig {
     /// copy at log time, enabling [`DlaCluster::rereplicate`] after a
     /// node loss. Off by default (costs one extra message per fragment).
     pub standby_replication: bool,
-    /// How ring protocols push each hop's element set through the
-    /// commutative cipher. Serial by default; `Pooled` spreads the
-    /// exponentiations over worker threads without changing a byte of
-    /// any transcript.
-    pub batch_mode: BatchMode,
-    /// Which exponentiation ladder the commutative cipher runs on.
-    /// Defaults to the accelerated fixed-width kernel; the slower
-    /// ladders stay available as differential oracles — every algorithm
-    /// produces identical ciphertexts and transcripts.
-    pub exp_algo: ExpAlgo,
     /// Glsns per trail epoch (the sharding grain). Deposits are
     /// assigned to epochs at allocation time; when the open epoch rolls
     /// forward, earlier epochs are sealed and their accumulator digests
@@ -93,8 +83,6 @@ impl ClusterConfig {
             capture_payloads: false,
             journal_dir: None,
             standby_replication: false,
-            batch_mode: BatchMode::Serial,
-            exp_algo: ExpAlgo::default(),
             epoch_length: 1024,
             retransmit: ReliableConfig::default(),
             health: crate::health::HealthConfig::default(),
@@ -153,25 +141,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_journal_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
-        self
-    }
-
-    /// Selects the crypto batch mode for ring protocols (default
-    /// [`BatchMode::Serial`]). Answers, transcripts and telemetry op
-    /// totals are identical in every mode.
-    #[must_use]
-    pub fn with_batch_mode(mut self, batch_mode: BatchMode) -> Self {
-        self.batch_mode = batch_mode;
-        self
-    }
-
-    /// Selects the exponentiation algorithm for the cluster's
-    /// commutative cipher (default [`ExpAlgo::Accel`]). Answers,
-    /// transcripts and telemetry op totals are identical for every
-    /// algorithm; only the arithmetic route differs.
-    #[must_use]
-    pub fn with_exp_algo(mut self, exp_algo: ExpAlgo) -> Self {
-        self.exp_algo = exp_algo;
         self
     }
 
@@ -355,7 +324,6 @@ pub struct ClusterCtx {
     group: SchnorrGroup,
     domain: CommutativeDomain,
     acc_params: AccumulatorParams,
-    batch_mode: BatchMode,
 }
 
 impl ClusterCtx {
@@ -387,12 +355,6 @@ impl ClusterCtx {
     #[must_use]
     pub fn accumulator_params(&self) -> &AccumulatorParams {
         &self.acc_params
-    }
-
-    /// The configured crypto batch mode for ring protocols.
-    #[must_use]
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
     }
 }
 
@@ -441,6 +403,19 @@ impl DlaNode {
     pub fn store_mut(&self) -> RwLockWriteGuard<'_, FragmentStore> {
         self.store.write()
     }
+}
+
+/// Where an attribute's values are read for an owner-side computation
+/// (aggregate partials, transaction-rule scalars, correlation buckets).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AttrOwner {
+    /// The node serving the attribute under the [effective
+    /// partition](DlaCluster::effective_partition): the configured
+    /// owner, or its adopter once the owner is retired.
+    pub(crate) node: usize,
+    /// The owner under the configured partition, whose fragments an
+    /// adopter holds as adopted copies.
+    configured: usize,
 }
 
 /// A registered application user (`u_j ∈ U`).
@@ -698,9 +673,8 @@ impl DlaCluster {
                 schema: config.schema,
                 partition,
                 group,
-                domain: CommutativeDomain::fixed_256().with_exp_algo(config.exp_algo),
+                domain: CommutativeDomain::fixed_256(),
                 acc_params,
-                batch_mode: config.batch_mode,
             }),
             nodes,
             net: SharedNet::new(net),
@@ -1579,6 +1553,42 @@ impl DlaCluster {
         partition
     }
 
+    /// The node that serves `attr` now and how it reads `attr`'s values
+    /// (see [`AttrOwner`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::Planning`] if no node serves `attr`.
+    pub(crate) fn attr_owner(&self, attr: &AttrName) -> Result<AttrOwner, AuditError> {
+        let unserved =
+            || AuditError::Planning(format!("attribute {attr} is not served by any node"));
+        Ok(AttrOwner {
+            node: self
+                .effective_partition()
+                .node_of(attr)
+                .ok_or_else(unserved)?,
+            configured: self.partition().node_of(attr).ok_or_else(unserved)?,
+        })
+    }
+
+    /// `attr`'s value for `glsn` as `owner` holds it: in its own
+    /// fragment, or — when it serves a retired node's attributes — in
+    /// its adopted copy of that node's fragment.
+    pub(crate) fn owner_value(
+        &self,
+        owner: AttrOwner,
+        attr: &AttrName,
+        glsn: Glsn,
+    ) -> Option<AttrValue> {
+        let store = self.node(owner.node).store();
+        let fragment = if owner.node == owner.configured {
+            store.get_local(glsn)
+        } else {
+            store.get_adopted(owner.configured, glsn)
+        };
+        fragment.and_then(|f| f.values.get(attr).cloned())
+    }
+
     /// The first surviving node clockwise from `dead`, skipping nodes
     /// in `also_dead` and already-retired nodes.
     fn adopter_of(&self, dead: usize, also_dead: &BTreeSet<usize>) -> Option<usize> {
@@ -2048,25 +2058,55 @@ mod tests {
     #[test]
     fn plain_queries_route_around_a_node_the_resilient_ladder_retired() {
         use crate::aggregate::{count_matching, sum_matching};
-        let (mut c, _) = standby_cluster();
-        let criteria = "tid = 'T1100267' and c2 > 100.00";
+        use crate::correlate::{detect, CorrelationRule};
+        use crate::transaction::owner_scalar_over_glsns;
+        let criteria = "c2 > 0";
         let c2 = AttrName::new("c2");
-        let glsns = c.query(criteria).unwrap().glsns;
-        let count = count_matching(&mut c, criteria).unwrap().count;
-        let sum = sum_matching(&mut c, criteria, &c2).unwrap();
-        assert!(!glsns.is_empty());
+        let rule = CorrelationRule {
+            name: "burst".into(),
+            event_criteria: criteria.into(),
+            window_seconds: 3600,
+            min_events: 1,
+            min_sources: 1,
+        };
+        // Every owner-side read after the query: a sum at c2's owner, a
+        // transaction-rule scalar (distinct ids) at id's owner, and the
+        // correlation's time buckets plus its per-bucket id scalar.
+        let observe = |c: &mut DlaCluster| {
+            let glsns = c.query(criteria).unwrap().glsns;
+            let count = count_matching(c, criteria).unwrap().count;
+            let sum = sum_matching(c, criteria, &c2).unwrap();
+            let distinct_ids =
+                owner_scalar_over_glsns(c, &glsns, &AttrName::new("id"), 0x73, |v| {
+                    let set: BTreeSet<Vec<u8>> =
+                        v.iter().map(AttrValue::to_canonical_bytes).collect();
+                    Some(set.len() as u64)
+                })
+                .unwrap();
+            let alerts = detect(c, &rule).unwrap();
+            (glsns, count, (sum.total, sum.count), distinct_ids, alerts)
+        };
 
-        c.net_mut().faults_mut().kill_node(2);
-        let policy = crate::exec::ResilientPolicy::default();
-        let outcome = c.query_resilient(criteria, &policy).unwrap();
-        assert_eq!(outcome.excluded, [2].into_iter().collect());
+        // Node 0 owns time, node 1 owns id and c2, node 2 owns neither;
+        // the ladder's query touches all three, so it notices the kill.
+        let ladder = "c2 > 0 AND time > '00:00:00/01/01/2000' AND tid != 'none'";
+        for dead in [0, 1, 2] {
+            let (mut c, _) = standby_cluster();
+            let before = observe(&mut c);
+            assert!(!before.0.is_empty());
+            assert!(!before.4.is_empty(), "the rule must fire on the paper data");
 
-        // Every later query plans against the effective partition, so
-        // none of them sends to the dead node.
-        assert_eq!(c.query(criteria).unwrap().glsns, glsns);
-        assert_eq!(count_matching(&mut c, criteria).unwrap().count, count);
-        let after = sum_matching(&mut c, criteria, &c2).unwrap();
-        assert_eq!((after.total, after.count), (sum.total, sum.count));
+            c.net_mut().faults_mut().kill_node(dead);
+            let policy = crate::exec::ResilientPolicy::default();
+            let outcome = c.query_resilient(ladder, &policy).unwrap();
+            assert_eq!(outcome.result.glsns, before.0);
+            assert_eq!(outcome.excluded, [dead].into_iter().collect());
+
+            // Every later query plans against the effective partition
+            // and every owner-side read goes to the adopter, so none of
+            // them sends to the dead node.
+            assert_eq!(observe(&mut c), before, "after retiring node {dead}");
+        }
     }
 
     #[test]

@@ -147,20 +147,19 @@ fn window_buckets(
     window_seconds: u64,
 ) -> Result<BTreeMap<u64, Vec<Glsn>>, AuditError> {
     let time_attr = AttrName::new("time");
-    let owner = cluster
-        .partition()
-        .node_of(&time_attr)
-        .ok_or_else(|| AuditError::Planning("time attribute is not served".into()))?;
+    let owner = cluster.attr_owner(&time_attr)?;
     let auditor = cluster.auditor_node();
 
     let mut w = Writer::new();
     w.put_u8(0x75).put_list(glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster
+        .net_mut()
+        .send(auditor, NodeId(owner.node), w.finish());
     let envelope = cluster
         .net_mut()
-        .recv_from(NodeId(owner), auditor)
+        .recv_from(NodeId(owner.node), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
     let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
@@ -169,18 +168,13 @@ fn window_buckets(
         .map_err(|e| AuditError::Parse(e.to_string()))?;
 
     // Owner-side bucketing.
-    let pairs: Vec<(u64, Glsn)> =
-        requested
-            .iter()
-            .filter_map(|g| {
-                cluster.node(owner).store().get_local(*g).and_then(|f| {
-                    match f.values.get(&time_attr) {
-                        Some(AttrValue::Time(t)) => Some((t / window_seconds, *g)),
-                        _ => None,
-                    }
-                })
-            })
-            .collect();
+    let pairs: Vec<(u64, Glsn)> = requested
+        .iter()
+        .filter_map(|g| match cluster.owner_value(owner, &time_attr, *g) {
+            Some(AttrValue::Time(t)) => Some((t / window_seconds, *g)),
+            _ => None,
+        })
+        .collect();
 
     // Owner -> auditor: the bucketed pairs.
     let mut w = Writer::new();
@@ -188,10 +182,12 @@ fn window_buckets(
         w.put_u64(bucket);
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(NodeId(owner), auditor, w.finish());
+    cluster
+        .net_mut()
+        .send(NodeId(owner.node), auditor, w.finish());
     let envelope = cluster
         .net_mut()
-        .recv_from(auditor, NodeId(owner))
+        .recv_from(auditor, NodeId(owner.node))
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
     let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;

@@ -313,10 +313,7 @@ pub(crate) fn owner_scalar_over_glsns(
     tag: u8,
     compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
 ) -> Result<Option<u64>, AuditError> {
-    let owner = cluster
-        .partition()
-        .node_of(attr)
-        .ok_or_else(|| AuditError::Planning(format!("attribute {attr} is not served")))?;
+    let owner = cluster.attr_owner(attr)?;
 
     // Auditor -> owner: the glsn list.
     let auditor = cluster.auditor_node();
@@ -324,10 +321,12 @@ pub(crate) fn owner_scalar_over_glsns(
     w.put_u8(tag).put_list(result_glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster
+        .net_mut()
+        .send(auditor, NodeId(owner.node), w.finish());
     let envelope = cluster
         .net_mut()
-        .recv_from(NodeId(owner), auditor)
+        .recv_from(NodeId(owner.node), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
     let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
@@ -338,23 +337,19 @@ pub(crate) fn owner_scalar_over_glsns(
     // Owner computes the scalar locally.
     let values: Vec<AttrValue> = glsns
         .iter()
-        .filter_map(|g| {
-            cluster
-                .node(owner)
-                .store()
-                .get_local(*g)
-                .and_then(|f| f.values.get(attr).cloned())
-        })
+        .filter_map(|g| cluster.owner_value(owner, attr, *g))
         .collect();
     let scalar = compute(&values);
 
     // Owner -> auditor: the scalar only.
     let mut w = Writer::new();
     w.put_u8(tag).put_u64(scalar.map_or(u64::MAX, |s| s));
-    cluster.net_mut().send(NodeId(owner), auditor, w.finish());
+    cluster
+        .net_mut()
+        .send(NodeId(owner.node), auditor, w.finish());
     let envelope = cluster
         .net_mut()
-        .recv_from(auditor, NodeId(owner))
+        .recv_from(auditor, NodeId(owner.node))
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
     let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;

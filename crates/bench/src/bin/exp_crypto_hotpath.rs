@@ -1,24 +1,20 @@
-//! Experiment P10: the crypto hot-path ablation grid. Runs the same
-//! seeded 4-party secure set intersection (256-bit domain, reveal pass)
-//! across every combination of
+//! Experiment P10: the crypto hot path. Two parts:
 //!
-//! * exponentiation algorithm — `schoolbook` (division-based ladder),
-//!   `binary` (Montgomery bit-at-a-time), `windowed` (Montgomery
-//!   sliding-window with odd-powers table), `accel` (fixed-width
-//!   Montgomery kernel with known-order exponent reduction — the
-//!   default),
-//! * quadratic-residue test for message encoding — `euler` (full
-//!   exponent-`q` modexp per pad probe) vs `jacobi` (binary Jacobi
-//!   symbol),
-//! * batching — `serial` vs `pooled` (scoped worker threads),
-//!
-//! measuring wall-clock and telemetry op counts per cell. Every cell
-//! must return identical answers and message counts; the windowed
-//! exponentiation must strictly beat the binary baseline, the full
-//! fast path (windowed+jacobi+pooled) must be at least 2× faster than
-//! the old default (binary+euler+serial), and the accelerated kernel
-//! must be at least 2× faster again than the windowed ladder on the
-//! same cell — the PR gate for the fixed-base/multi-exp work.
+//! * **Production SSI run** — one seeded secure set intersection
+//!   (256-bit domain, reveal pass) on the cipher path every protocol
+//!   uses, measuring wall-clock and telemetry op counts. The answer must
+//!   be exactly the shared prefix, and the message and modexp counts
+//!   must match the protocol's closed forms (`n² + n + 1` messages;
+//!   `n²·s` layer applications plus `n·k` reveal decryptions).
+//! * **Kernel ladder** — the same travelling-set shape (every party's
+//!   encoded set under its own key exponent) pushed through three
+//!   kernels: `accel` (the cipher's `pow_batch`: known-order exponent
+//!   reduction plus the fixed-width Montgomery kernel), `generic`
+//!   (per-element sliding-window Montgomery on the generic slice
+//!   kernel) and `schoolbook` (per-element division-based ladder). All
+//!   three must produce byte-identical outputs; `accel` must be at
+//!   least 2× `generic` in modexp/s, and `generic` must strictly beat
+//!   `schoolbook` — in `--quick` and full mode alike.
 //!
 //! Writes `BENCH_crypto_hotpath.json`.
 //!
@@ -26,7 +22,11 @@
 //! (pass `--quick` for the CI-sized configuration).
 
 use dla_bench::render_table;
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, ExpAlgo, QrTest};
+use dla_bigint::modular::modexp_schoolbook;
+use dla_bigint::montgomery::MontgomeryContext;
+use dla_bigint::Ubig;
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
+use dla_crypto::sha256::{self, Sha256};
 use dla_mpc::set_intersection::SsiSession;
 use dla_net::topology::Ring;
 use dla_net::{NetConfig, NodeId, Session, SimLink, SimNet};
@@ -35,32 +35,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-const EXP_ALGOS: [(ExpAlgo, &str); 4] = [
-    (ExpAlgo::Schoolbook, "schoolbook"),
-    (ExpAlgo::Binary, "binary"),
-    (ExpAlgo::Windowed, "windowed"),
-    (ExpAlgo::Accel, "accel"),
-];
-const QR_TESTS: [(QrTest, &str); 2] = [(QrTest::Euler, "euler"), (QrTest::Jacobi, "jacobi")];
-const BATCHES: [(BatchMode, &str); 2] = [
-    (BatchMode::Serial, "serial"),
-    (BatchMode::Pooled { threads: 4 }, "pooled"),
-];
-
-struct Cell {
-    exp: &'static str,
-    qr: &'static str,
-    batch: &'static str,
+/// One kernel rung of the ladder.
+struct KernelRow {
+    kernel: &'static str,
+    bases: usize,
     elapsed_ms: f64,
-    modexp: u64,
-    mont_mul_steps: u64,
-    messages: u64,
-    answer: Vec<Vec<u8>>,
+    digest: String,
 }
 
-impl Cell {
+impl KernelRow {
     fn modexp_per_sec(&self) -> f64 {
-        self.modexp as f64 / (self.elapsed_ms / 1000.0)
+        self.bases as f64 / (self.elapsed_ms / 1000.0)
     }
 }
 
@@ -80,222 +65,211 @@ fn sets(n: usize, size: usize) -> Vec<Vec<Vec<u8>>> {
         .collect()
 }
 
-/// One seeded SSI run under the given knobs; wall-clock is the best of
-/// `iters` repetitions (the telemetry counts are identical every time).
-fn run_cell(
-    n: usize,
-    inputs: &[Vec<Vec<u8>>],
-    exp: (ExpAlgo, &'static str),
-    qr: (QrTest, &'static str),
-    batch: (BatchMode, &'static str),
-    iters: usize,
-) -> Cell {
-    let domain = CommutativeDomain::fixed_256()
-        .with_exp_algo(exp.0)
-        .with_qr_test(qr.0);
+/// Best wall-clock of `iters` runs of `f`, with the last run's output.
+fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best_ms = f64::INFINITY;
-    let mut result = None;
+    let mut out = None;
     for _ in 0..iters {
+        let started = Instant::now();
+        let value = f();
+        best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1000.0);
+        out = Some(value);
+    }
+    (best_ms, out.expect("at least one iteration"))
+}
+
+fn digest(outputs: &[Ubig]) -> String {
+    let mut h = Sha256::new();
+    for v in outputs {
+        let bytes = v.to_bytes_be();
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(&bytes);
+    }
+    sha256::to_hex(&h.finalize())
+}
+
+fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (n, set_size, iters) = if quick { (3, 8, 15) } else { (4, 16, 15) };
+    let inputs = sets(n, set_size);
+    let domain = CommutativeDomain::fixed_256();
+
+    // Part 1: the production SSI run.
+    let (ssi_ms, (answer, costs)) = best_of(iters, || {
         let recorder = Recorder::new();
         let mut net = SimNet::new(n, NetConfig::ideal());
         let session_id = net.open_session();
         let link = SimLink::new(&mut net);
         let ring = Ring::canonical(n);
         let mut rng = StdRng::seed_from_u64(1);
-        let started = Instant::now();
         let outcome = {
             let _install = recorder.install();
             SsiSession::new(Session::new(&link, session_id), &ring, &domain, NodeId(0))
                 .reveal(true)
-                .batch(batch.0)
-                .run(inputs, &mut rng)
+                .run(&inputs, &mut rng)
                 .expect("ssi runs")
         };
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-        let costs = recorder.take().total_cost();
-        best_ms = best_ms.min(elapsed_ms);
-        result = Some((outcome, costs));
-    }
-    let (outcome, costs) = result.expect("at least one iteration");
-    Cell {
-        exp: exp.1,
-        qr: qr.1,
-        batch: batch.1,
-        elapsed_ms: best_ms,
-        modexp: costs.modexp,
-        mont_mul_steps: costs.mont_mul_steps,
-        messages: costs.msgs_sent,
-        answer: outcome.common_items.expect("reveal requested"),
-    }
-}
-
-fn json_cell(c: &Cell) -> String {
-    format!(
-        concat!(
-            "    {{\"exp\": \"{}\", \"qr\": \"{}\", \"batch\": \"{}\", ",
-            "\"elapsed_ms\": {:.3}, \"modexp\": {}, \"mont_mul_steps\": {}, ",
-            "\"messages\": {}, \"modexp_per_sec\": {:.1}}}"
-        ),
-        c.exp,
-        c.qr,
-        c.batch,
-        c.elapsed_ms,
-        c.modexp,
-        c.mont_mul_steps,
-        c.messages,
-        c.modexp_per_sec(),
-    )
-}
-
-fn find<'a>(cells: &'a [Cell], exp: &str, qr: &str, batch: &str) -> &'a Cell {
-    cells
-        .iter()
-        .find(|c| c.exp == exp && c.qr == qr && c.batch == batch)
-        .expect("grid is complete")
-}
-
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n, set_size, iters) = if quick { (3, 8, 3) } else { (4, 16, 7) };
-    let inputs = sets(n, set_size);
-
-    let mut cells = Vec::with_capacity(16);
-    for exp in EXP_ALGOS {
-        for qr in QR_TESTS {
-            for batch in BATCHES {
-                cells.push(run_cell(n, &inputs, exp, qr, batch, iters));
-            }
-        }
-    }
-
-    // Correctness across the whole grid: every ablation cell computes
-    // the same intersection over the same transcript.
-    let reference = &cells[0];
-    assert!(
-        !reference.answer.is_empty(),
-        "the shared prefix must intersect"
-    );
-    for c in &cells[1..] {
-        assert_eq!(
-            c.answer, reference.answer,
-            "{}/{}/{} diverged from {}",
-            c.exp, c.qr, c.batch, reference.exp
-        );
-        assert_eq!(
-            c.messages, reference.messages,
-            "{}/{}/{} changed the message count",
-            c.exp, c.qr, c.batch
-        );
-    }
-
-    // The windowed ladder must strictly out-run the binary baseline on
-    // the same configuration (the CI regression gate).
-    let binary = find(&cells, "binary", "jacobi", "serial");
-    let windowed = find(&cells, "windowed", "jacobi", "serial");
-    assert_eq!(binary.modexp, windowed.modexp);
-    assert!(
-        windowed.modexp_per_sec() > binary.modexp_per_sec(),
-        "windowed modexp throughput ({:.1}/s) must strictly beat binary ({:.1}/s)",
-        windowed.modexp_per_sec(),
-        binary.modexp_per_sec()
-    );
-    assert!(
-        windowed.mont_mul_steps < binary.mont_mul_steps,
-        "windowed must take fewer Montgomery steps than binary"
-    );
-
-    // The accelerated kernel: same op counts as the windowed ladder
-    // (reduction never fires on in-range Pohlig–Hellman exponents) but
-    // at least 2x the throughput — the gate for the fixed-base /
-    // multi-exp PR.
-    let accel = find(&cells, "accel", "jacobi", "serial");
+        let answer = outcome.common_items.expect("reveal requested");
+        (answer, recorder.take().total_cost())
+    });
+    let shared = set_size / 2;
+    let mut expected: Vec<Vec<u8>> = inputs[0][..shared].to_vec();
+    expected.sort();
     assert_eq!(
-        accel.modexp, windowed.modexp,
-        "accel must perform the same modexp count as windowed"
+        answer, expected,
+        "SSI must reveal exactly the shared prefix"
     );
-    assert!(
-        accel.mont_mul_steps <= windowed.mont_mul_steps,
-        "accel must never take more Montgomery steps than windowed"
-    );
-    let accel_vs_windowed = windowed.elapsed_ms / accel.elapsed_ms;
-    if !quick {
-        assert!(
-            accel_vs_windowed >= 2.0,
-            "accel must be >= 2x over the windowed ladder (got {accel_vs_windowed:.2}x)"
-        );
-    }
+    let expected_messages = (n * n + n + 1) as u64;
+    assert_eq!(costs.msgs_sent, expected_messages, "SSI message count");
+    let expected_modexp = (n * n * set_size + n * shared) as u64;
+    assert_eq!(costs.modexp, expected_modexp, "SSI modexp count");
 
-    // Pooled batching with the work-size threshold: batches below the
-    // crossover run the serial code path, so `pooled` may never be
-    // meaningfully slower than `serial` on the same knobs.
-    let accel_pooled = find(&cells, "accel", "jacobi", "pooled");
-    assert!(
-        accel_pooled.elapsed_ms <= accel.elapsed_ms * 1.5,
-        "pooled ({:.2}ms) must stay within 1.5x of serial ({:.2}ms) below the \
-         batching crossover",
-        accel_pooled.elapsed_ms,
-        accel.elapsed_ms
-    );
-
-    // Headline speedup: the full fast path vs the old default path.
-    let baseline = find(&cells, "binary", "euler", "serial");
-    let fast = find(&cells, "windowed", "jacobi", "pooled");
-    let speedup = baseline.elapsed_ms / fast.elapsed_ms;
-    let windowed_vs_binary = binary.elapsed_ms / windowed.elapsed_ms;
-    if !quick {
-        assert!(
-            speedup >= 2.0,
-            "windowed+jacobi+pooled must be >= 2x over binary+euler+serial (got {speedup:.2}x)"
-        );
-    }
-
-    let rows: Vec<Vec<String>> = cells
+    // Part 2: the kernel ladder over the same travelling-set shape.
+    let mut rng = StdRng::seed_from_u64(2);
+    let order = domain.modulus() - &Ubig::one();
+    let exponents: Vec<Ubig> = (0..n)
+        .map(|_| loop {
+            let e = Ubig::random_range(&mut rng, &Ubig::from_u64(3), &order);
+            if PhKey::from_exponent(&domain, e.clone()).is_ok() {
+                break e;
+            }
+        })
+        .collect();
+    let party_sets: Vec<Vec<Ubig>> = inputs
         .iter()
-        .map(|c| {
+        .map(|set| {
+            set.iter()
+                .map(|item| domain.encode(item).expect("items fit the domain"))
+                .collect()
+        })
+        .collect();
+    let bases = n * set_size;
+    let ctx = MontgomeryContext::new(domain.modulus()).expect("safe primes are odd");
+    let per_element = |f: &dyn Fn(&Ubig, &Ubig) -> Ubig| -> Vec<Ubig> {
+        party_sets
+            .iter()
+            .zip(&exponents)
+            .flat_map(|(set, e)| set.iter().map(move |b| f(b, e)))
+            .collect()
+    };
+    let ladder: [(&'static str, &dyn Fn() -> Vec<Ubig>); 3] = [
+        ("accel", &|| {
+            party_sets
+                .iter()
+                .zip(&exponents)
+                .flat_map(|(set, e)| domain.pow_batch(set, e))
+                .collect()
+        }),
+        ("generic", &|| per_element(&|b, e| ctx.modexp_generic(b, e))),
+        ("schoolbook", &|| {
+            per_element(&|b, e| modexp_schoolbook(b, e, domain.modulus()))
+        }),
+    ];
+    let kernels: Vec<KernelRow> = ladder
+        .iter()
+        .map(|&(kernel, run)| {
+            let (elapsed_ms, out) = best_of(iters, run);
+            assert_eq!(out.len(), bases);
+            KernelRow {
+                kernel,
+                bases,
+                elapsed_ms,
+                digest: digest(&out),
+            }
+        })
+        .collect();
+    let [accel, generic, schoolbook] = &kernels[..] else {
+        unreachable!("three rungs");
+    };
+    for row in [generic, schoolbook] {
+        assert_eq!(
+            row.digest, accel.digest,
+            "{} outputs diverged from accel",
+            row.kernel
+        );
+    }
+    let accel_vs_generic = accel.modexp_per_sec() / generic.modexp_per_sec();
+    assert!(
+        accel_vs_generic >= 2.0,
+        "accel must be >= 2x generic in modexp/s at 256 bits (got {accel_vs_generic:.2}x)"
+    );
+    assert!(
+        generic.modexp_per_sec() > schoolbook.modexp_per_sec(),
+        "generic modexp throughput ({:.1}/s) must strictly beat schoolbook ({:.1}/s)",
+        generic.modexp_per_sec(),
+        schoolbook.modexp_per_sec()
+    );
+
+    let mode = if quick { ", quick" } else { "" };
+    println!(
+        "{}",
+        render_table(
+            &format!("P10 - PRODUCTION SSI ({n}-party, {set_size}-element sets, 256-bit{mode})"),
+            &["ms", "answer", "messages", "modexp", "mont_steps"],
+            &[vec![
+                format!("{ssi_ms:.2}"),
+                answer.len().to_string(),
+                costs.msgs_sent.to_string(),
+                costs.modexp.to_string(),
+                costs.mont_mul_steps.to_string(),
+            ]]
+        )
+    );
+    let rows: Vec<Vec<String>> = kernels
+        .iter()
+        .map(|k| {
             vec![
-                c.exp.to_string(),
-                c.qr.to_string(),
-                c.batch.to_string(),
-                format!("{:.2}", c.elapsed_ms),
-                c.modexp.to_string(),
-                c.mont_mul_steps.to_string(),
-                format!("{:.0}", c.modexp_per_sec()),
+                k.kernel.to_string(),
+                k.bases.to_string(),
+                format!("{:.3}", k.elapsed_ms),
+                format!("{:.0}", k.modexp_per_sec()),
             ]
         })
         .collect();
     println!(
         "{}",
         render_table(
-            &format!(
-                "P10 - CRYPTO HOT-PATH ABLATION ({n}-party SSI, {set_size}-element sets, 256-bit{})",
-                if quick { ", quick" } else { "" }
-            ),
-            &["exp", "qr", "batch", "ms", "modexp", "mont_steps", "modexp/s"],
+            &format!("P10 - KERNEL LADDER ({bases} bases, {n} key exponents, 256-bit{mode})"),
+            &["kernel", "bases", "ms", "modexp/s"],
             &rows
         )
     );
-    println!(
-        "speedup: windowed+jacobi+pooled is {speedup:.2}x over binary+euler+serial \
-         (windowed vs binary alone: {windowed_vs_binary:.2}x, accel vs windowed: \
-         {accel_vs_windowed:.2}x); identical answers and transcripts in all 16 cells."
-    );
+    println!("accel is {accel_vs_generic:.2}x generic; identical outputs on every rung.");
 
-    let entries: Vec<String> = cells.iter().map(json_cell).collect();
+    let entries: Vec<String> = kernels
+        .iter()
+        .map(|k| {
+            format!(
+                concat!(
+                    "    {{\"kernel\": \"{}\", \"bases\": {}, \"elapsed_ms\": {:.3}, ",
+                    "\"modexp_per_sec\": {:.1}, \"digest\": \"{}\"}}"
+                ),
+                k.kernel,
+                k.bases,
+                k.elapsed_ms,
+                k.modexp_per_sec(),
+                k.digest
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"experiment\": \"crypto_hotpath\",\n  \"quick\": {},\n",
             "  \"parties\": {},\n  \"set_size\": {},\n  \"modulus_bits\": 256,\n",
-            "  \"speedup_fast_vs_baseline\": {:.3},\n",
-            "  \"speedup_windowed_vs_binary\": {:.3},\n",
-            "  \"speedup_accel_vs_windowed\": {:.3},\n",
-            "  \"cells\": [\n{}\n  ]\n}}\n"
+            "  \"ssi\": {{\"elapsed_ms\": {:.3}, \"answer_items\": {}, \"messages\": {}, ",
+            "\"modexp\": {}, \"mont_mul_steps\": {}}},\n",
+            "  \"speedup_accel_vs_generic\": {:.3},\n",
+            "  \"kernels\": [\n{}\n  ]\n}}\n"
         ),
         quick,
         n,
         set_size,
-        speedup,
-        windowed_vs_binary,
-        accel_vs_windowed,
+        ssi_ms,
+        answer.len(),
+        costs.msgs_sent,
+        costs.modexp,
+        costs.mont_mul_steps,
+        accel_vs_generic,
         entries.join(",\n")
     );
     std::fs::write("BENCH_crypto_hotpath.json", &json).expect("write BENCH_crypto_hotpath.json");

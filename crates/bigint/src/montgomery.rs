@@ -18,10 +18,10 @@
 //!   by one REDC pass); ~80 % of exponentiation steps are squarings.
 //! * **Sliding-window exponentiation** — a 4–5-bit window with an
 //!   odd-powers table cuts the number of general multiplies from
-//!   ~`bits/2` to ~`bits/(w+1)`; the bit-at-a-time path remains as
-//!   [`MontgomeryContext::modexp_binary`] for the ablation baseline,
-//!   and [`crate::modular::modexp_schoolbook`] stays the
-//!   differential-test oracle.
+//!   ~`bits/2` to ~`bits/(w+1)`; [`MontgomeryContext::modexp_windowed`]
+//!   with width 1 runs the bit-at-a-time ladder, and
+//!   [`crate::modular::modexp_schoolbook`] stays the differential-test
+//!   oracle.
 //!
 //! [`crate::modular::modexp`] uses a [`MontgomeryContext`]
 //! automatically whenever the modulus is odd and large enough to
@@ -43,8 +43,6 @@ pub struct MontgomeryContext {
     n0_inv: u64,
     /// `R² mod n` where `R = 2^{64k}` (converts into Montgomery form).
     r2: Vec<u64>,
-    /// `1` in Montgomery form (`R mod n`).
-    one_mont: Vec<u64>,
 }
 
 /// Reusable workspace for a run of Montgomery operations: one CIOS
@@ -478,17 +476,11 @@ impl MontgomeryContext {
         }
         let n0_inv = inv.wrapping_neg();
 
-        // R mod n and R^2 mod n via Ubig arithmetic (setup-time only).
+        // R^2 mod n via Ubig arithmetic (setup-time only).
         let r = Ubig::one() << (64 * k);
-        let one_mont = pad(&(&r % modulus), k);
         let r2 = pad(&(&(&r * &r) % modulus), k);
 
-        Some(MontgomeryContext {
-            n,
-            n0_inv,
-            r2,
-            one_mont,
-        })
+        Some(MontgomeryContext { n, n0_inv, r2 })
     }
 
     /// Number of limbs `k`.
@@ -649,21 +641,6 @@ impl MontgomeryContext {
         a.copy_from_slice(&s.wide[k..2 * k]);
     }
 
-    /// Montgomery product: `REDC(a · b) = a·b·R⁻¹ mod n` (allocating
-    /// convenience used by setup paths and the binary baseline).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut s = self.scratch();
-        let mut out = a.to_vec();
-        self.mont_mul_assign(&mut out, b, &mut s);
-        out
-    }
-
-    /// Converts into Montgomery form: `a·R mod n`.
-    fn to_mont(&self, a: &Ubig) -> Vec<u64> {
-        let reduced = a % &self.modulus_ubig();
-        self.mont_mul(&pad(&reduced, self.k()), &self.r2)
-    }
-
     fn modulus_ubig(&self) -> Ubig {
         Ubig::from_limbs(self.n.clone())
     }
@@ -688,7 +665,8 @@ impl MontgomeryContext {
 
     /// `base^exp mod n` on the generic slice kernel regardless of limb
     /// count — the PR 4 windowed path, retained verbatim as the
-    /// differential oracle and the `windowed` ablation rung.
+    /// differential oracle and the `generic` rung of the
+    /// `exp_crypto_hotpath` kernel ladder.
     #[must_use]
     pub fn modexp_generic(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         self.modexp_windowed(base, exp, window_width(exp.bit_len()))
@@ -708,8 +686,8 @@ impl MontgomeryContext {
     }
 
     /// `base^exp mod n` with an explicit window width in `1..=6` —
-    /// exposed for differential tests and the ablation bench; prefer
-    /// [`Self::modexp`].
+    /// exposed for differential tests (width 1 is the bit-at-a-time
+    /// ladder); prefer [`Self::modexp`].
     ///
     /// # Panics
     ///
@@ -784,34 +762,6 @@ impl MontgomeryContext {
         (Ubig::from_limbs(acc), steps)
     }
 
-    /// `base^exp mod n` by the classic bit-at-a-time square-and-multiply,
-    /// allocating per step — retained as the pre-windowed baseline the
-    /// `exp_crypto_hotpath` ablation measures against.
-    #[must_use]
-    pub fn modexp_binary(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
-        if exp.is_zero() {
-            return Ubig::one() % &self.modulus_ubig();
-        }
-        let mut steps = 1u64; // to_mont
-        let base_m = self.to_mont(base);
-        let mut acc = self.one_mont.clone();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            steps += 1;
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-                steps += 1;
-            }
-        }
-        let mut one = vec![0u64; self.k()];
-        one[0] = 1;
-        let out = Ubig::from_limbs(self.mont_mul(&acc, &one));
-        steps += 1;
-        dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
-        out
-    }
-
     /// `base^exp mod n` for every base in `bases`, sharing one window
     /// plan and one scratch workspace across the whole batch — the
     /// per-element cost of a travelling-set encryption drops to table
@@ -823,18 +773,6 @@ impl MontgomeryContext {
     /// cost-indistinguishable.
     #[must_use]
     pub fn modexp_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        self.modexp_batch_inner(bases, exp, true)
-    }
-
-    /// Batch exponentiation pinned to the generic slice kernel — the
-    /// PR 4 behaviour, kept as the `windowed` ablation rung and the
-    /// differential oracle for the fixed-width kernel.
-    #[must_use]
-    pub fn modexp_batch_generic(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        self.modexp_batch_inner(bases, exp, false)
-    }
-
-    fn modexp_batch_inner(&self, bases: &[Ubig], exp: &Ubig, accel: bool) -> Vec<Ubig> {
         if bases.is_empty() {
             return Vec::new();
         }
@@ -846,12 +784,12 @@ impl MontgomeryContext {
         let window = window_width(exp.bit_len());
         let plan = window_plan(exp, window);
         let mut total_steps = 0u64;
-        let out: Vec<Ubig> = if accel && self.k() == 4 {
+        let out: Vec<Ubig> = if self.k() == 4 {
             let f = FixedCtx::<4>::from_ctx(self).expect("k() == 4");
             let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
             total_steps += steps;
             out
-        } else if accel && self.k() == 8 {
+        } else if self.k() == 8 {
             let f = FixedCtx::<8>::from_ctx(self).expect("k() == 8");
             let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
             total_steps += steps;
@@ -986,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_binary_and_schoolbook_agree_across_window_widths() {
+    fn windowed_and_schoolbook_agree_across_window_widths() {
         let mut rng = rng();
         for bits in [65usize, 200, 384] {
             let mut n = Ubig::random_bits(&mut rng, bits);
@@ -998,7 +936,6 @@ mod tests {
                 let base = Ubig::random_below(&mut rng, &n);
                 let exp = Ubig::random_bits(&mut rng, bits - 1);
                 let oracle = modular::modexp_schoolbook(&base, &exp, &n);
-                assert_eq!(ctx.modexp_binary(&base, &exp), oracle, "binary bits={bits}");
                 for w in 1..=6 {
                     assert_eq!(
                         ctx.modexp_windowed(&base, &exp, w),
@@ -1045,7 +982,7 @@ mod tests {
             };
             (out, recorder.take().total_cost().mont_mul_steps)
         };
-        let (a, binary_steps) = steps_of(&|| ctx.modexp_binary(&base, &exp));
+        let (a, binary_steps) = steps_of(&|| ctx.modexp_windowed(&base, &exp, 1));
         let (b, windowed_steps) = steps_of(&|| ctx.modexp(&base, &exp));
         assert_eq!(a, b);
         assert!(binary_steps > 0 && windowed_steps > 0);
@@ -1110,7 +1047,7 @@ mod tests {
         // Fermat: base^(n-1) = 1 for prime n.
         let exp = &n - &Ubig::one();
         assert_eq!(ctx.modexp(&base, &exp), Ubig::one());
-        assert_eq!(ctx.modexp_binary(&base, &exp), Ubig::one());
+        assert_eq!(ctx.modexp_windowed(&base, &exp, 1), Ubig::one());
     }
 
     #[test]

@@ -31,72 +31,6 @@ use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which exponentiation algorithm [`CommutativeDomain::pow`] routes
-/// through. The default is the fastest path; the others exist so the
-/// `exp_crypto_hotpath` ablation can measure each rung of the ladder.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExpAlgo {
-    /// Division-based schoolbook square-and-multiply (slowest rung).
-    Schoolbook,
-    /// Montgomery bit-at-a-time square-and-multiply (the pre-windowed
-    /// baseline).
-    Binary,
-    /// Montgomery sliding-window with an odd-powers table on the
-    /// generic slice kernel — the previous default, retained as an
-    /// ablation rung and differential oracle.
-    Windowed,
-    /// Sliding-window exponentiation on the fixed-width Montgomery
-    /// kernel (fully unrolled 4/8-limb CIOS), with exponents reduced by
-    /// the known group order `p − 1 = 2q` first (default).
-    #[default]
-    Accel,
-}
-
-/// Which quadratic-residue test [`CommutativeDomain::encode`] probes
-/// pad bytes with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QrTest {
-    /// Euler criterion `x^q ≟ 1 (mod p)` — one full exponent-`q`
-    /// modexp per probe (ablation baseline).
-    Euler,
-    /// Binary Jacobi symbol `(x/p) ≟ 1` — O(bits²) word operations,
-    /// the same answer at a fraction of the cost (default).
-    #[default]
-    Jacobi,
-}
-
-/// How [`PhKey::encrypt_batch`]/[`PhKey::decrypt_batch`] distribute
-/// work over a travelling set.
-///
-/// Both modes produce **bit-identical** ciphertext vectors (same
-/// order, same values) and identical telemetry op totals; `Pooled`
-/// only divides the wall-clock across scoped worker threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchMode {
-    /// One thread, one shared Montgomery scratch (default;
-    /// allocation-free per element).
-    #[default]
-    Serial,
-    /// Scoped worker threads, each with its own scratch; the caller's
-    /// telemetry recorder is propagated into every worker
-    /// ([`dla_telemetry::Recorder::install`] pattern). Worker-side
-    /// costs merge into the same recorder but are not attributed to
-    /// the calling thread's innermost scope. Batches smaller than
-    /// [`POOLED_MIN_BATCH`] run serially — spawning threads for a
-    /// handful of exponentiations costs more than it saves.
-    Pooled {
-        /// Upper bound on worker threads (clamped to the element
-        /// count; `0` and `1` degenerate to serial).
-        threads: usize,
-    },
-}
-
-/// Smallest travelling-set size [`BatchMode::Pooled`] actually fans
-/// out for. Below this, thread spawn/join overhead exceeds the whole
-/// batch's exponentiation work, so pooled requests degrade to the
-/// serial shared-plan path (bit-identical results either way).
-pub const POOLED_MIN_BATCH: usize = 32;
-
 /// A precomputed 256-bit safe prime (p = 2q + 1, q prime), verified by
 /// the test suite. Used for fast deterministic tests and benches.
 pub const SAFE_PRIME_256_HEX: &str =
@@ -119,8 +53,6 @@ pub struct CommutativeDomain {
     /// Cached Montgomery state for `p` (odd by construction), shared by
     /// every key over this domain.
     ctx: Arc<MontgomeryContext>,
-    exp_algo: ExpAlgo,
-    qr_test: QrTest,
 }
 
 impl PartialEq for CommutativeDomain {
@@ -154,39 +86,7 @@ impl CommutativeDomain {
             p: Arc::new(p),
             q: Arc::new(q),
             ctx: Arc::new(ctx),
-            exp_algo: ExpAlgo::default(),
-            qr_test: QrTest::default(),
         }
-    }
-
-    /// Selects the exponentiation algorithm (ablation knob; defaults to
-    /// [`ExpAlgo::Accel`]). All choices compute identical values.
-    #[must_use]
-    pub fn with_exp_algo(mut self, algo: ExpAlgo) -> Self {
-        self.exp_algo = algo;
-        self
-    }
-
-    /// Selects the quadratic-residue test used by
-    /// [`encode`](Self::encode) (ablation knob; defaults to
-    /// [`QrTest::Jacobi`]). Both choices accept exactly the same pad
-    /// bytes, so encodings are bit-identical either way.
-    #[must_use]
-    pub fn with_qr_test(mut self, qr: QrTest) -> Self {
-        self.qr_test = qr;
-        self
-    }
-
-    /// The active exponentiation algorithm.
-    #[must_use]
-    pub fn exp_algo(&self) -> ExpAlgo {
-        self.exp_algo
-    }
-
-    /// The active quadratic-residue test.
-    #[must_use]
-    pub fn qr_test(&self) -> QrTest {
-        self.qr_test
     }
 
     /// Builds a domain from a known safe prime.
@@ -235,20 +135,13 @@ impl CommutativeDomain {
     }
 
     /// `base^exp mod p` — the hot operation of every commutative-cipher
-    /// protocol. Routed per [`with_exp_algo`](Self::with_exp_algo);
-    /// the default goes through the cached Montgomery context's
-    /// sliding-window exponentiation.
+    /// protocol: the exponent is reduced by the group order, then run
+    /// through the cached Montgomery context's sliding-window
+    /// exponentiation (the fixed-width kernel for 256/512-bit primes).
     #[must_use]
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        match self.exp_algo {
-            ExpAlgo::Schoolbook => dla_bigint::modular::modexp_schoolbook(base, exp, &self.p),
-            ExpAlgo::Binary => self.ctx.modexp_binary(base, exp),
-            ExpAlgo::Windowed => self.ctx.modexp_generic(base, exp),
-            ExpAlgo::Accel => match self.reduce_exp(exp) {
-                Some(r) => self.ctx.modexp(base, &r),
-                None => self.ctx.modexp(base, exp),
-            },
-        }
+        let reduced = self.reduce_exp(exp);
+        self.ctx.modexp(base, reduced.as_ref().unwrap_or(exp))
     }
 
     /// Reduces an exponent by the known group order `p − 1 = 2q`
@@ -267,67 +160,25 @@ impl CommutativeDomain {
         Some(if r.is_zero() { order } else { r })
     }
 
-    /// `base^exp mod p` for every base in `bases`, in order.
-    ///
-    /// The serial windowed path shares one exponent plan and one
-    /// Montgomery scratch across the whole slice
-    /// ([`MontgomeryContext::modexp_batch`]); `Pooled` splits the slice
-    /// into contiguous chunks across scoped worker threads, each
-    /// carrying the caller's telemetry recorder. Results and telemetry
-    /// op totals are identical across all modes.
+    /// `base^exp mod p` for every base in `bases`, in order: one
+    /// reduced exponent, one window plan and one Montgomery scratch
+    /// shared across the whole slice
+    /// ([`MontgomeryContext::modexp_batch`]). Results and telemetry op
+    /// totals equal element-at-a-time [`pow`](Self::pow) calls.
     #[must_use]
-    pub fn pow_batch(&self, bases: &[Ubig], exp: &Ubig, mode: BatchMode) -> Vec<Ubig> {
-        match mode {
-            BatchMode::Serial => self.pow_batch_serial(bases, exp),
-            BatchMode::Pooled { threads } => {
-                let threads = threads.min(bases.len());
-                if threads <= 1 || bases.len() < POOLED_MIN_BATCH {
-                    return self.pow_batch_serial(bases, exp);
-                }
-                let recorder = dla_telemetry::current();
-                let chunk = bases.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = bases
-                        .chunks(chunk)
-                        .map(|part| {
-                            let recorder = recorder.clone();
-                            s.spawn(move || {
-                                let _guard = recorder.as_ref().map(|r| r.install());
-                                self.pow_batch_serial(part, exp)
-                            })
-                        })
-                        .collect();
-                    let mut out = Vec::with_capacity(bases.len());
-                    for h in handles {
-                        out.extend(h.join().expect("pow_batch worker panicked"));
-                    }
-                    out
-                })
-            }
-        }
+    pub fn pow_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
+        let reduced = self.reduce_exp(exp);
+        self.ctx
+            .modexp_batch(bases, reduced.as_ref().unwrap_or(exp))
     }
 
-    fn pow_batch_serial(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        match self.exp_algo {
-            ExpAlgo::Windowed => self.ctx.modexp_batch_generic(bases, exp),
-            ExpAlgo::Accel => {
-                let reduced = self.reduce_exp(exp);
-                self.ctx
-                    .modexp_batch(bases, reduced.as_ref().unwrap_or(exp))
-            }
-            _ => bases.iter().map(|b| self.pow(b, exp)).collect(),
-        }
-    }
-
-    /// Whether `x` is a quadratic residue mod `p`, by the configured
-    /// [`QrTest`]. For the safe-prime moduli used here the two tests
-    /// agree on every input in `1..p`.
+    /// Whether `x` is a quadratic residue mod `p`, by the binary Jacobi
+    /// symbol `(x/p) ≟ 1` — O(bits²) word operations instead of the
+    /// Euler criterion's full exponent-`q` modexp, with the same answer
+    /// on every input in `1..p` for a prime `p`.
     #[must_use]
     pub fn is_quadratic_residue(&self, x: &Ubig) -> bool {
-        match self.qr_test {
-            QrTest::Euler => self.pow(x, &self.q).is_one(),
-            QrTest::Jacobi => jacobi(x, &self.p) == 1,
-        }
+        jacobi(x, &self.p) == 1
     }
 
     /// Maximum byte length [`CommutativeDomain::encode`] accepts for
@@ -362,9 +213,6 @@ impl CommutativeDomain {
             if candidate.is_zero() || candidate.is_one() {
                 continue;
             }
-            // QR test: Jacobi symbol by default; the Euler criterion
-            // x^q ≟ 1 (mod p) under the ablation knob. Same accepted
-            // pad bytes either way, so the encoding is stable.
             if self.is_quadratic_residue(&candidate) {
                 return Ok(candidate);
             }
@@ -488,19 +336,18 @@ impl PhKey {
     }
 
     /// Encrypts a whole travelling set in order, sharing one exponent
-    /// plan and Montgomery scratch across the slice (and optionally a
-    /// worker pool). Element `i` of the result equals
-    /// `self.encrypt(&ms[i])` bit for bit in every [`BatchMode`].
+    /// plan and Montgomery scratch across the slice. Element `i` of the
+    /// result equals `self.encrypt(&ms[i])` bit for bit.
     #[must_use]
-    pub fn encrypt_batch(&self, ms: &[Ubig], mode: BatchMode) -> Vec<Ubig> {
-        self.domain.pow_batch(ms, &self.e, mode)
+    pub fn encrypt_batch(&self, ms: &[Ubig]) -> Vec<Ubig> {
+        self.domain.pow_batch(ms, &self.e)
     }
 
     /// Removes this key's layer from a whole travelling set in order;
     /// the batched counterpart of [`CommutativeKey::decrypt`].
     #[must_use]
-    pub fn decrypt_batch(&self, cs: &[Ubig], mode: BatchMode) -> Vec<Ubig> {
-        self.domain.pow_batch(cs, &self.d, mode)
+    pub fn decrypt_batch(&self, cs: &[Ubig]) -> Vec<Ubig> {
+        self.domain.pow_batch(cs, &self.d)
     }
 }
 
@@ -572,7 +419,7 @@ impl CommutativeKey for XorKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_bigint::modular::modexp;
+    use dla_bigint::modular::{modexp, modexp_schoolbook};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -784,48 +631,47 @@ mod tests {
 
     #[test]
     fn qr_tests_agree_and_encode_identically() {
-        let jacobi_domain = CommutativeDomain::fixed_256();
-        let euler_domain = CommutativeDomain::fixed_256().with_qr_test(QrTest::Euler);
+        // The Euler criterion x^q ≟ 1 (mod p) is the oracle for Jacobi.
+        let domain = CommutativeDomain::fixed_256();
+        let euler = |x: &Ubig| modexp(x, domain.subgroup_order(), domain.modulus()).is_one();
         let mut rng = rng();
         for _ in 0..30 {
-            let x = Ubig::random_below(&mut rng, jacobi_domain.modulus());
+            let x = Ubig::random_below(&mut rng, domain.modulus());
             if x.is_zero() {
                 continue;
             }
             assert_eq!(
-                jacobi_domain.is_quadratic_residue(&x),
-                euler_domain.is_quadratic_residue(&x),
+                domain.is_quadratic_residue(&x),
+                euler(&x),
                 "x={}",
                 x.to_hex()
             );
         }
         for msg in [b"e".as_slice(), b"glsn=139aef78", b"", b"set element 19"] {
+            let base = Ubig::from_bytes_be(msg) << 8;
+            let by_euler = (0..=255u64)
+                .map(|pad| &base + &Ubig::from_u64(pad))
+                .find(|c| !c.is_zero() && !c.is_one() && euler(c))
+                .unwrap();
             assert_eq!(
-                jacobi_domain.encode(msg).unwrap(),
-                euler_domain.encode(msg).unwrap(),
+                domain.encode(msg).unwrap(),
+                by_euler,
                 "pad search must accept the same byte under both tests"
             );
         }
     }
 
     #[test]
-    fn exp_algos_agree_on_ciphertexts() {
+    fn ciphertexts_match_the_kernel_oracles() {
+        let domain = CommutativeDomain::fixed_256();
         let mut rng = rng();
-        let base = CommutativeDomain::fixed_256();
-        let key = PhKey::generate(&base, &mut rng);
-        let m = base.fingerprint(b"ablation element");
-        let reference = key.encrypt(&m);
-        for algo in [
-            ExpAlgo::Schoolbook,
-            ExpAlgo::Binary,
-            ExpAlgo::Windowed,
-            ExpAlgo::Accel,
-        ] {
-            let domain = CommutativeDomain::fixed_256().with_exp_algo(algo);
-            let alt = PhKey::from_exponent(&domain, key.e.clone()).unwrap();
-            assert_eq!(alt.encrypt(&m), reference, "{algo:?}");
-            assert_eq!(alt.decrypt(&reference), m, "{algo:?}");
-        }
+        let key = PhKey::generate(&domain, &mut rng);
+        let m = domain.fingerprint(b"ablation element");
+        let c = key.encrypt(&m);
+        assert_eq!(c, modexp_schoolbook(&m, &key.e, domain.modulus()));
+        assert_eq!(c, domain.ctx.modexp_generic(&m, &key.e));
+        assert_eq!(key.decrypt(&c), m);
+        assert_eq!(modexp_schoolbook(&c, &key.d, domain.modulus()), m);
     }
 
     #[test]
@@ -837,57 +683,19 @@ mod tests {
             .map(|i| domain.fingerprint(&i.to_be_bytes()))
             .collect();
         let expected: Vec<Ubig> = ms.iter().map(|m| key.encrypt(m)).collect();
-        for mode in [
-            BatchMode::Serial,
-            BatchMode::Pooled { threads: 3 },
-            BatchMode::Pooled { threads: 16 },
-            BatchMode::Pooled { threads: 0 },
-        ] {
-            assert_eq!(key.encrypt_batch(&ms, mode), expected, "{mode:?}");
-        }
-        let back = key.decrypt_batch(&expected, BatchMode::Pooled { threads: 4 });
-        assert_eq!(back, ms);
-        assert!(key
-            .encrypt_batch(&[], BatchMode::Pooled { threads: 4 })
-            .is_empty());
-    }
-
-    #[test]
-    fn pooled_batch_telemetry_totals_match_serial() {
-        let domain = CommutativeDomain::fixed_256();
-        let mut rng = rng();
-        let key = PhKey::generate(&domain, &mut rng);
-        let ms: Vec<Ubig> = (0..7u32)
-            .map(|i| domain.fingerprint(&i.to_be_bytes()))
-            .collect();
-
-        let count = |mode: BatchMode| {
-            let recorder = dla_telemetry::Recorder::new();
-            let out = {
-                let _guard = recorder.install();
-                key.encrypt_batch(&ms, mode)
-            };
-            let cost = recorder.take().total_cost();
-            (out, cost.modexp, cost.mont_mul_steps)
-        };
-        let (serial_out, serial_exp, serial_steps) = count(BatchMode::Serial);
-        let (pooled_out, pooled_exp, pooled_steps) = count(BatchMode::Pooled { threads: 3 });
-        assert_eq!(serial_out, pooled_out);
-        assert_eq!(serial_exp, pooled_exp);
-        assert_eq!(serial_steps, pooled_steps);
-        assert_eq!(serial_exp, ms.len() as u64);
-        assert!(serial_steps > 0);
+        assert_eq!(key.encrypt_batch(&ms), expected);
+        assert_eq!(key.decrypt_batch(&expected), ms);
+        assert!(key.encrypt_batch(&[]).is_empty());
     }
 
     #[test]
     fn accel_reduces_exponents_by_group_order() {
-        // base^e = base^(e mod 2q) for units; the Accel rung reduces,
-        // the Windowed oracle never does — answers must still match.
-        let accel = CommutativeDomain::fixed_256();
-        let oracle = CommutativeDomain::fixed_256().with_exp_algo(ExpAlgo::Windowed);
-        let order = accel.modulus() - &Ubig::one();
+        // base^e = base^(e mod 2q) for units; `pow` reduces, the
+        // schoolbook oracle never does — answers must still match.
+        let domain = CommutativeDomain::fixed_256();
+        let order = domain.modulus() - &Ubig::one();
         let mut rng = rng();
-        let base = accel.fingerprint(b"reduction probe");
+        let base = domain.fingerprint(b"reduction probe");
         for exp in [
             Ubig::zero(),
             Ubig::one(),
@@ -899,41 +707,16 @@ mod tests {
             Ubig::random_bits(&mut rng, 1000),
         ] {
             assert_eq!(
-                accel.pow(&base, &exp),
-                oracle.pow(&base, &exp),
+                domain.pow(&base, &exp),
+                modexp_schoolbook(&base, &exp, domain.modulus()),
                 "exp={}",
                 exp.to_hex()
             );
         }
         // The zero guard: 0^e must stay 0 even when e ≡ 0 (mod 2q).
-        assert_eq!(accel.pow(&Ubig::zero(), &order), Ubig::zero());
-        assert_eq!(accel.pow(&Ubig::zero(), &(&order << 1)), Ubig::zero());
-        assert_eq!(accel.pow(&Ubig::zero(), &Ubig::zero()), Ubig::one());
-    }
-
-    #[test]
-    fn pooled_below_threshold_degrades_to_serial() {
-        let domain = CommutativeDomain::fixed_256();
-        let mut rng = rng();
-        let key = PhKey::generate(&domain, &mut rng);
-        const { assert!(POOLED_MIN_BATCH > 2) };
-        let ms: Vec<Ubig> = (0..POOLED_MIN_BATCH as u32 - 1)
-            .map(|i| domain.fingerprint(&i.to_be_bytes()))
-            .collect();
-        // Identical values and identical telemetry *scope attribution*:
-        // a sub-threshold pooled batch never leaves the calling thread.
-        let run = |mode: BatchMode| {
-            let recorder = dla_telemetry::Recorder::new();
-            let out = {
-                let _guard = recorder.install();
-                key.encrypt_batch(&ms, mode)
-            };
-            (out, recorder.take().total_cost())
-        };
-        let (serial_out, serial_cost) = run(BatchMode::Serial);
-        let (pooled_out, pooled_cost) = run(BatchMode::Pooled { threads: 3 });
-        assert_eq!(serial_out, pooled_out);
-        assert_eq!(serial_cost, pooled_cost);
+        assert_eq!(domain.pow(&Ubig::zero(), &order), Ubig::zero());
+        assert_eq!(domain.pow(&Ubig::zero(), &(&order << 1)), Ubig::zero());
+        assert_eq!(domain.pow(&Ubig::zero(), &Ubig::zero()), Ubig::one());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Eq. 9 (accumulator order independence), Shamir reconstruction and
 //! signature soundness on randomized inputs.
 
+use dla_bigint::modular::modexp_schoolbook;
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey, XorKey};
@@ -164,22 +165,26 @@ proptest! {
         prop_assert_eq!(domain.decode(&element), message);
     }
 
-    /// Known-order exponent reduction is invisible: the accelerated
-    /// path (reduce mod p−1, fixed-width kernel) and the PR 4 windowed
-    /// oracle agree on every base, including exponents far beyond the
-    /// group order and exact multiples of it.
+    /// Known-order exponent reduction is invisible: `pow` and
+    /// `pow_batch` (reduce mod p−1, fixed-width kernel) agree with the
+    /// unreduced schoolbook oracle on every base, at both protocol
+    /// widths, including exponents far beyond the group order and exact
+    /// multiples of it.
     #[test]
     fn exponent_reduction_matches_unreduced(
-        base in prop::collection::vec(any::<u64>(), 0..8),
+        bases in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..9), 0..4),
         exp in prop::collection::vec(any::<u64>(), 0..12),
         order_multiple in 0u64..4,
     ) {
-        use dla_crypto::pohlig_hellman::ExpAlgo;
-        let accel = CommutativeDomain::fixed_256().with_exp_algo(ExpAlgo::Accel);
-        let oracle = CommutativeDomain::fixed_256().with_exp_algo(ExpAlgo::Windowed);
-        let b = Ubig::from_limbs(base);
-        let order = accel.modulus() - &Ubig::one();
-        let e = &Ubig::from_limbs(exp) + &(&order * &Ubig::from_u64(order_multiple));
-        prop_assert_eq!(accel.pow(&b, &e), oracle.pow(&b, &e));
+        for domain in [CommutativeDomain::fixed_256(), CommutativeDomain::fixed_512()] {
+            let p = domain.modulus();
+            let order = p - &Ubig::one();
+            let e = &Ubig::from_limbs(exp.clone()) + &(&order * &Ubig::from_u64(order_multiple));
+            let bs: Vec<Ubig> = bases.iter().cloned().map(Ubig::from_limbs).collect();
+            let oracle: Vec<Ubig> = bs.iter().map(|b| modexp_schoolbook(b, &e, p)).collect();
+            let single: Vec<Ubig> = bs.iter().map(|b| domain.pow(b, &e)).collect();
+            prop_assert_eq!(&single, &oracle);
+            prop_assert_eq!(domain.pow_batch(&bs, &e), oracle);
+        }
     }
 }

@@ -12,7 +12,7 @@
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_bigint::Ubig;
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, PhKey};
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session, SimLink, SimNet};
@@ -57,15 +57,7 @@ pub fn secure_set_union<R: Rng + ?Sized>(
 ) -> Result<UnionOutcome, MpcError> {
     let link = SimLink::new(net);
     let session = Session::root(&link);
-    run(
-        &session,
-        ring,
-        domain,
-        inputs,
-        collector,
-        BatchMode::Serial,
-        rng,
-    )
+    run(&session, ring, domain, inputs, collector, rng)
 }
 
 /// A `∪_s` protocol instance bound to one transport session, so several
@@ -77,7 +69,6 @@ pub struct UnionSession<'a> {
     ring: &'a Ring,
     domain: &'a CommutativeDomain,
     collector: NodeId,
-    batch: BatchMode,
 }
 
 impl<'a> UnionSession<'a> {
@@ -94,17 +85,7 @@ impl<'a> UnionSession<'a> {
             ring,
             domain,
             collector,
-            batch: BatchMode::Serial,
         }
-    }
-
-    /// Selects how each hop's element set is pushed through the cipher
-    /// (default [`BatchMode::Serial`]); transcripts and outcomes are
-    /// bit-identical in every mode.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Runs the union over this instance's session.
@@ -128,20 +109,17 @@ impl<'a> UnionSession<'a> {
             self.domain,
             inputs,
             self.collector,
-            self.batch,
             rng,
         )
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run<R: Rng + ?Sized>(
     net: &Session<'_>,
     ring: &Ring,
     domain: &CommutativeDomain,
     inputs: &[Vec<Vec<u8>>],
     collector: NodeId,
-    batch: BatchMode,
     rng: &mut R,
 ) -> Result<UnionOutcome, MpcError> {
     let n = ring.len();
@@ -161,7 +139,7 @@ fn run<R: Rng + ?Sized>(
             .iter()
             .map(|item| domain.encode(item).map_err(MpcError::from))
             .collect::<Result<_, MpcError>>()?;
-        sets.push(keys[i].encrypt_batch(&encoded, batch));
+        sets.push(keys[i].encrypt_batch(&encoded));
     }
 
     // Relay rounds.
@@ -174,7 +152,7 @@ fn run<R: Rng + ?Sized>(
             let envelope = net.recv_from(to, from)?;
             let elements = decode_msg(&envelope.payload)?;
             let holder = (origin + hop) % n;
-            sets[origin] = keys[holder].encrypt_batch(&elements, batch);
+            sets[origin] = keys[holder].encrypt_batch(&elements);
         }
     }
 
@@ -199,7 +177,7 @@ fn run<R: Rng + ?Sized>(
         let node = ring.at(pos);
         net.send(holder, node, encode_msg(&current));
         let envelope = net.recv_from(node, holder)?;
-        current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, batch);
+        current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?);
         holder = node;
     }
     net.send(holder, collector, encode_msg(&current));
