@@ -55,7 +55,7 @@ assert fb["fixed_base_mont_mul_steps"] < fb["ladder_mont_mul_steps"], \
 PY
 fi
 
-echo "==> exp_crypto_hotpath --quick (asserts identical kernel outputs, accel >= 2x generic > schoolbook)"
+echo "==> exp_crypto_hotpath --quick (asserts identical kernel outputs, accel >= 2x generic > schoolbook, 24-byte encode < one accel modexp)"
 cargo run --release -p dla-bench --bin exp_crypto_hotpath -- --quick >/dev/null
 if command -v jq >/dev/null 2>&1; then
     jq -e '
@@ -69,6 +69,10 @@ if command -v jq >/dev/null 2>&1; then
              >= 2 * [.kernels[] | select(.kernel == "generic")][0].modexp_per_sec)
         and ([.kernels[] | select(.kernel == "generic")][0].modexp_per_sec
              > [.kernels[] | select(.kernel == "schoolbook")][0].modexp_per_sec)
+        and ([.encode[].item_bytes] | sort == [8, 24])
+        and (.encode | all(.items >= 1000 and .encode_ns_per_item > 0))
+        and ([.encode[] | select(.item_bytes == 24)][0].encode_ns_per_item
+             < .accel_ns_per_modexp)
     ' BENCH_crypto_hotpath.json >/dev/null
 else
     python3 - <<'PY'
@@ -92,6 +96,12 @@ assert (
 assert (
     kernels["generic"]["modexp_per_sec"] > kernels["schoolbook"]["modexp_per_sec"]
 ), "generic modexp throughput must strictly beat schoolbook"
+encode = {e["item_bytes"]: e for e in d["encode"]}
+assert sorted(encode) == [8, 24]
+for e in encode.values():
+    assert e["items"] >= 1000 and e["encode_ns_per_item"] > 0
+assert encode[24]["encode_ns_per_item"] < d["accel_ns_per_modexp"], \
+    "encoding a 24-byte item must cost less than one accel modexp"
 PY
 fi
 

@@ -937,6 +937,14 @@ impl DlaCluster {
         self.deposits.insert(glsn, deposit);
     }
 
+    /// Test hook: deletes the stored deposit for `glsn` without
+    /// touching accumulators or checkpoints — a deposit map that lost
+    /// a record.
+    #[cfg(test)]
+    pub(crate) fn drop_deposit_for_tests(&mut self, glsn: Glsn) {
+        self.deposits.remove(&glsn);
+    }
+
     /// The glsn range scans need to cover for a query confined to
     /// `window`: the union of glsn extents over epochs whose observed
     /// time range intersects it.

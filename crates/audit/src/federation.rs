@@ -748,10 +748,7 @@ impl FederatedCluster {
     #[must_use]
     pub fn verify_presented(&self, presented: &[RingCheckpoint]) -> bool {
         let items: Vec<Vec<u8>> = presented.iter().map(RingCheckpoint::root_item).collect();
-        let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-        // Eq. 9 collapses the refold ladder into one fixed-base power
-        // of x₀ — same value, one table walk per cross-check.
-        self.acc_params.accumulate_batch(&refs) == self.root_acc
+        self.acc_params.accumulate(items.iter().map(Vec::as_slice)) == self.root_acc
     }
 
     /// The full root-ring cross-check: the archived publications refold

@@ -326,12 +326,14 @@ pub struct TrailVerdict {
 
 /// Full-trail baseline verification: re-derives the whole-trail
 /// accumulator `x₀^{∏ yᵢ}` over **every** deposit item (the unsharded
-/// §4.1 cost, one logical fold per deposit) and compares against the
-/// cluster's trail accumulator. Since the fold ladder collapses to one
-/// fixed-base power of `x₀` (Eq. 9), the evaluation rides the cached
-/// [`dla_crypto::accumulator::AccumulatorParams::power_of_start`]
-/// table; the value is bit-identical to folding item by item.
-/// O(total trail) regardless of how narrow the audit is.
+/// §4.1 cost, one fold per deposit) and compares against the cluster's
+/// trail accumulator. The fold is one ladder per item
+/// ([`dla_crypto::accumulator::AccumulatorParams::accumulate`]) rather
+/// than one power of the combined exponent: the product `∏ yᵢ` grows by
+/// 256 bits per item, so building it is quadratic in the trail and its
+/// power is as long as the ladders it replaces. O(total trail) in time,
+/// and no memory beyond the item list, regardless of how narrow the
+/// audit is.
 #[must_use]
 pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
     let params = cluster.accumulator_params();
@@ -343,9 +345,8 @@ pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
             crate::cluster::trail_item(glsn, deposit)
         })
         .collect();
-    let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-    let acc = params.accumulate_batch(&refs);
-    let items_folded = refs.len() as u64;
+    let acc = params.accumulate(items.iter().map(Vec::as_slice));
+    let items_folded = items.len() as u64;
     TrailVerdict {
         ok: acc == *cluster.trail_accumulator() && items_folded == cluster.trail_items(),
         chain_ok: true,
@@ -365,7 +366,8 @@ pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
 /// the trail length — the point of epoch sharding. The sealed epochs'
 /// digests are checked in **one** random-linear-combination batch
 /// (`x₀^{Σ rⱼEⱼ} = ∏ digestⱼ^{rⱼ}` via the fixed-base table and
-/// multi-exponentiation) rather than one refold per epoch. Soundness:
+/// multi-exponentiation) rather than one refold per epoch; the open
+/// epoch is refolded with one ladder per item. Soundness:
 /// epochs outside the window are still bound by the hash chain, so a
 /// rewritten sealed epoch is caught by `chain_ok` even when its items
 /// are never refolded.
@@ -411,21 +413,20 @@ pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> T
     // Sealed epochs become claims `digest = x₀^{Eⱼ}` verified in one
     // random-linear-combination pass (one fixed-base power plus one
     // multi-exponentiation, instead of one refold per epoch); the open
-    // epoch has no sealed digest and is compared directly.
+    // epoch has no sealed digest and is refolded item by item.
     let mut claims: Vec<(Ubig, Ubig)> = Vec::new();
     for &epoch in &selected {
         let items = groups.remove(&epoch).unwrap_or_default();
         let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-        let exponent = params.batch_exponent(&refs);
         items_folded += refs.len() as u64;
         match chain.get(epoch.0) {
             Some(cp) => {
                 ok &= cp.items == refs.len() as u64;
-                claims.push((cp.digest.clone(), exponent));
+                claims.push((cp.digest.clone(), params.batch_exponent(&refs)));
             }
             None => {
                 let stats = cluster.epoch_stat(epoch).expect("selected from stats");
-                ok &= params.power_of_start(&exponent) == stats.acc;
+                ok &= params.accumulate(refs.iter().copied()) == stats.acc;
             }
         }
     }
@@ -765,6 +766,67 @@ mod tests {
         let verdict = check_trail(&cluster);
         assert!(verdict.ok);
         assert_eq!(verdict.items_folded, glsns.len() as u64);
+    }
+
+    fn generated(records: usize) -> (DlaCluster, Vec<Glsn>) {
+        use dla_logstore::gen::{generate, WorkloadConfig};
+        use rand::SeedableRng;
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        let mut cluster = DlaCluster::new(
+            ClusterConfig::new(4, schema)
+                .with_partition(partition)
+                .with_seed(31),
+        )
+        .unwrap();
+        let user = cluster.register_user("u0").unwrap();
+        let config = WorkloadConfig {
+            records,
+            ..WorkloadConfig::default()
+        };
+        let log = generate(&config, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let glsns = cluster.log_records(&user, &log).unwrap();
+        (cluster, glsns)
+    }
+
+    /// `check_trail`'s verdict and the Montgomery steps it took.
+    fn metered_trail_check(cluster: &DlaCluster) -> (TrailVerdict, u64) {
+        let recorder = dla_telemetry::Recorder::new();
+        let verdict = {
+            let _install = recorder.install();
+            check_trail(cluster)
+        };
+        (verdict, recorder.take().total_cost().mont_mul_steps)
+    }
+
+    /// One ladder per deposit: doubling the trail doubles the work —
+    /// no more (a superlinear product or power), no less (skipped items).
+    #[test]
+    fn trail_check_cost_stays_linear_in_the_trail() {
+        let n = 64;
+        let (small, _) = generated(n);
+        let (small_verdict, small_steps) = metered_trail_check(&small);
+        let (mut large, glsns) = generated(2 * n);
+        let (large_verdict, large_steps) = metered_trail_check(&large);
+        assert!(small_verdict.ok && large_verdict.ok);
+        let ratio = large_steps as f64 / small_steps as f64;
+        assert!(
+            (1.9..=2.2).contains(&ratio),
+            "doubling the trail from {n} deposits took {ratio:.3}x the steps \
+             ({small_steps} -> {large_steps})"
+        );
+
+        // A rewritten deposit changes the fold.
+        let genuine = large.deposit(glsns[n]).unwrap().clone();
+        large.tamper_deposit_for_tests(glsns[n], Ubig::from_u64(12345));
+        assert!(!check_trail(&large).ok, "tampered deposit must fail");
+        // A deposit missing from the map is one item short.
+        large.tamper_deposit_for_tests(glsns[n], genuine);
+        assert!(check_trail(&large).ok);
+        large.drop_deposit_for_tests(glsns[n]);
+        let dropped = check_trail(&large);
+        assert!(!dropped.ok, "dropped deposit must fail");
+        assert_eq!(dropped.items_folded, 2 * n as u64 - 1);
     }
 
     #[test]

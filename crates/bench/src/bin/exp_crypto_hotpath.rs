@@ -15,6 +15,12 @@
 //!   three must produce byte-identical outputs; `accel` must be at
 //!   least 2× `generic` in modexp/s, and `generic` must strictly beat
 //!   `schoolbook` — in `--quick` and full mode alike.
+//! * **Message encoding** — `CommutativeDomain::encode` (the QR pad
+//!   search every protocol runs before its first layer) over the two
+//!   item shapes the query executor sends: 8-byte glsns and 24-byte
+//!   equality-join items (glsn ‖ 16-byte value digest), reported as
+//!   `encode_ns_per_item` next to the accel kernel's cost per modexp.
+//!   `ci.sh` gates the 24-byte encode below one accel modexp.
 //!
 //! Writes `BENCH_crypto_hotpath.json`.
 //!
@@ -76,6 +82,22 @@ fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         out = Some(value);
     }
     (best_ms, out.expect("at least one iteration"))
+}
+
+/// `items` consecutive glsns starting at the synthetic workload's first
+/// glsn, as the executor encodes them: 8-byte big-endian glsns, or
+/// 24-byte equality-join items `glsn ‖ SHA-256(value)[..16]`.
+fn executor_items(item_bytes: usize, items: usize) -> Vec<Vec<u8>> {
+    (0..items as u64)
+        .map(|i| {
+            let glsn = 0x139a_ef78 + i;
+            let mut item = glsn.to_be_bytes().to_vec();
+            if item_bytes == 24 {
+                item.extend_from_slice(&sha256::digest(format!("value-{i}").as_bytes())[..16]);
+            }
+            item
+        })
+        .collect()
 }
 
 fn digest(outputs: &[Ubig]) -> String {
@@ -200,6 +222,24 @@ fn main() {
         schoolbook.modexp_per_sec()
     );
 
+    // Part 3: message encoding on the executor's item shapes.
+    let encode_items = if quick { 1000 } else { 4000 };
+    let encodes: Vec<(usize, f64)> = [8usize, 24]
+        .iter()
+        .map(|&item_bytes| {
+            let items = executor_items(item_bytes, encode_items);
+            let (ms, encoded) = best_of(iters, || {
+                items
+                    .iter()
+                    .map(|item| domain.encode(item).expect("items fit the domain"))
+                    .collect::<Vec<Ubig>>()
+            });
+            assert_eq!(encoded.len(), encode_items);
+            (item_bytes, ms * 1e6 / encode_items as f64)
+        })
+        .collect();
+    let accel_ns_per_modexp = 1e9 / accel.modexp_per_sec();
+
     let mode = if quick { ", quick" } else { "" };
     println!(
         "{}",
@@ -235,6 +275,30 @@ fn main() {
         )
     );
     println!("accel is {accel_vs_generic:.2}x generic; identical outputs on every rung.");
+    let rows: Vec<Vec<String>> = encodes
+        .iter()
+        .map(|&(item_bytes, ns)| {
+            vec![
+                item_bytes.to_string(),
+                encode_items.to_string(),
+                format!("{ns:.0}"),
+                format!("{:.2}", ns / accel_ns_per_modexp),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &format!("P10 - MESSAGE ENCODING (QR pad search, 256-bit{mode})"),
+            &[
+                "item_bytes",
+                "items",
+                "encode_ns_per_item",
+                "x accel modexp"
+            ],
+            &rows
+        )
+    );
 
     let entries: Vec<String> = kernels
         .iter()
@@ -252,6 +316,14 @@ fn main() {
             )
         })
         .collect();
+    let encode_entries: Vec<String> = encodes
+        .iter()
+        .map(|&(item_bytes, ns)| {
+            format!(
+                "    {{\"item_bytes\": {item_bytes}, \"items\": {encode_items}, \"encode_ns_per_item\": {ns:.1}}}"
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"experiment\": \"crypto_hotpath\",\n  \"quick\": {},\n",
@@ -259,7 +331,9 @@ fn main() {
             "  \"ssi\": {{\"elapsed_ms\": {:.3}, \"answer_items\": {}, \"messages\": {}, ",
             "\"modexp\": {}, \"mont_mul_steps\": {}}},\n",
             "  \"speedup_accel_vs_generic\": {:.3},\n",
-            "  \"kernels\": [\n{}\n  ]\n}}\n"
+            "  \"kernels\": [\n{}\n  ],\n",
+            "  \"accel_ns_per_modexp\": {:.1},\n",
+            "  \"encode\": [\n{}\n  ]\n}}\n"
         ),
         quick,
         n,
@@ -270,7 +344,9 @@ fn main() {
         costs.modexp,
         costs.mont_mul_steps,
         accel_vs_generic,
-        entries.join(",\n")
+        entries.join(",\n"),
+        accel_ns_per_modexp,
+        encode_entries.join(",\n")
     );
     std::fs::write("BENCH_crypto_hotpath.json", &json).expect("write BENCH_crypto_hotpath.json");
     println!("\nwrote BENCH_crypto_hotpath.json");

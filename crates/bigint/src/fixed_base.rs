@@ -13,9 +13,10 @@
 //! costs one table lookup per non-zero `w`-bit digit of the exponent —
 //! **zero squarings** for any exponent within the table's capacity —
 //! plus the two domain conversions. Above capacity the evaluator falls
-//! back to chunking: the exponent is split at the capacity boundary and
-//! the high part re-enters through `base^{2^C}`-shifted squarings, so
-//! correctness never depends on sizing the table right.
+//! back to chunking: Horner's rule over capacity-sized chunks of the
+//! exponent, top chunk first, with `C` squarings of the running power
+//! between chunks — so correctness never depends on sizing the table
+//! right, and an oversized exponent costs no extra memory.
 //!
 //! Cost accounting: each constructed table records one
 //! `CostKind::FixedBaseTableBuild` plus the `MontMulStep`s the build
@@ -143,56 +144,42 @@ impl FixedBase {
         out
     }
 
-    /// Evaluates one exponent: digit lookups within capacity, then the
-    /// chunked fallback for any bits above it.
+    /// Evaluates one exponent by Horner's rule over capacity-sized
+    /// chunks, top chunk first: every chunk is pure table lookups, and
+    /// between chunks the running power (kept in Montgomery form) is
+    /// raised to `2^capacity` by squaring. Exponents within capacity
+    /// are one chunk and take no squarings; larger ones need no copy of
+    /// the exponent and no memory beyond the accumulator.
     fn pow_inner(&self, exp: &Ubig, kern: &mut crate::montgomery::Kernel) -> (Ubig, u64) {
         let modulus = self.ctx.modulus();
         if exp.is_zero() {
             return (Ubig::one() % &modulus, 0);
         }
         let mut steps = 0u64;
-
-        // In-capacity digits: pure lookups, no squarings.
-        let mut acc: Option<Vec<u64>> = None;
         let w = self.window;
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut v = 0usize;
-            for b in 0..w {
-                let bit = i * w + b;
-                if bit < exp.bit_len() && exp.bit(bit) {
-                    v |= 1 << b;
-                }
-            }
-            if v == 0 {
-                continue;
-            }
-            match &mut acc {
-                None => acc = Some(row[v - 1].clone()),
-                Some(a) => {
-                    kern.mul_assign(&self.ctx, a, &row[v - 1]);
-                    steps += 1;
-                }
-            }
-        }
-
-        // Chunked fallback: bits at or above capacity enter through
-        // base^{hi} shifted left by `capacity` squarings.
         let cap = self.capacity_bits;
-        if exp.bit_len() > cap {
-            let hi = exp >> cap;
-            let (hi_pow, hi_steps) = self.pow_inner(&hi, kern);
-            steps += hi_steps;
-            let mut shifted = kern.to_mont(&self.ctx, &hi_pow);
-            steps += 1;
-            for _ in 0..cap {
-                kern.sqr_assign(&self.ctx, &mut shifted);
-                steps += 1;
-            }
-            match &mut acc {
-                None => acc = Some(shifted),
-                Some(a) => {
-                    kern.mul_assign(&self.ctx, a, &shifted);
+        let mut acc: Option<Vec<u64>> = None;
+        for chunk in (0..exp.bit_len().div_ceil(cap)).rev() {
+            if let Some(a) = &mut acc {
+                for _ in 0..cap {
+                    kern.sqr_assign(&self.ctx, a);
                     steps += 1;
+                }
+            }
+            for (i, row) in self.rows.iter().enumerate() {
+                let offset = chunk * cap + i * w;
+                let v = (0..w)
+                    .filter(|&b| exp.bit(offset + b))
+                    .fold(0usize, |v, b| v | 1 << b);
+                if v == 0 {
+                    continue;
+                }
+                match &mut acc {
+                    None => acc = Some(row[v - 1].clone()),
+                    Some(a) => {
+                        kern.mul_assign(&self.ctx, a, &row[v - 1]);
+                        steps += 1;
+                    }
                 }
             }
         }
@@ -243,6 +230,11 @@ mod tests {
             let exp = Ubig::random_bits(&mut rng, exp_bits);
             assert_eq!(fb.pow(&exp), ctx.modexp(&base, &exp), "exp_bits={exp_bits}");
         }
+        // Hundreds of chunks, and chunks whose digits are all zero.
+        let long = Ubig::random_bits(&mut rng, 200 * fb.capacity_bits() + 17);
+        assert_eq!(fb.pow(&long), ctx.modexp(&base, &long), "200+ chunks");
+        let sparse = (Ubig::one() << (5 * fb.capacity_bits() + 3)) + Ubig::from_u64(5);
+        assert_eq!(fb.pow(&sparse), ctx.modexp(&base, &sparse), "zero chunks");
     }
 
     #[test]

@@ -114,6 +114,17 @@ impl Ubig {
         &self.limbs
     }
 
+    /// Overwrites the low byte with `byte`, in place: a search over the
+    /// last byte of a candidate (the QR pad of a message encoding)
+    /// rewrites one value instead of building a new one per try.
+    pub fn set_low_byte(&mut self, byte: u8) {
+        match self.limbs.first_mut() {
+            Some(low) => *low = (*low & !0xff) | u64::from(byte),
+            None => self.limbs.push(u64::from(byte)),
+        }
+        normalize(&mut self.limbs);
+    }
+
     /// Returns `true` if `self` is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {
@@ -764,6 +775,22 @@ mod tests {
         assert_eq!(Ubig::zero().bit_len(), 0);
         assert_eq!(Ubig::one().bit_len(), 1);
         assert_eq!(Ubig::default(), Ubig::zero());
+    }
+
+    #[test]
+    fn set_low_byte_keeps_normalization() {
+        let mut v = Ubig::zero();
+        v.set_low_byte(0);
+        assert!(v.is_zero());
+        v.set_low_byte(7);
+        assert_eq!(v, Ubig::from_u64(7));
+        v.set_low_byte(0);
+        assert!(v.is_zero());
+        let mut w = big(0xabcd_u128 << 72);
+        for byte in [0u8, 1, 0xff] {
+            w.set_low_byte(byte);
+            assert_eq!(w, big((0xabcd_u128 << 72) | u128::from(byte)));
+        }
     }
 
     #[test]

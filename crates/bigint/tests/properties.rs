@@ -9,6 +9,30 @@ use dla_bigint::{modular, prime, Ubig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+/// The safe primes of the fixed 256- and 512-bit commutative-cipher
+/// domains (`dla_crypto::pohlig_hellman::SAFE_PRIME_{256,512}_HEX`).
+fn domain_primes() -> [Ubig; 2] {
+    [
+        "a9eeab19c760f86c872f1c471c52157db42be1aefe645387366720155ee9a6d3",
+        "d44ee432e3b498a302a56b9c3ac65bd13be10b6f1eb58a5990f86654a378253954208985ab6f45682d604624d5da8e9f5257e87a12fe06c053605f7c872d24ab",
+    ]
+    .map(|hex| Ubig::from_hex(hex).expect("valid constant"))
+}
+
+/// Euler-criterion oracle for an odd prime `p`:
+/// `a^((p−1)/2) mod p ∈ {0, 1, p−1} ↦ {0, 1, −1}`.
+fn euler_oracle(a: &Ubig, p: &Ubig) -> i8 {
+    let q = (p - &Ubig::one()) >> 1;
+    let r = modular::modexp(&(a % p), &q, p);
+    if r.is_zero() {
+        0
+    } else if r.is_one() {
+        1
+    } else {
+        -1
+    }
+}
+
 /// Strategy: an arbitrary Ubig of up to `limbs` limbs.
 fn ubig(limbs: usize) -> impl Strategy<Value = Ubig> {
     prop::collection::vec(any::<u64>(), 0..=limbs).prop_map(Ubig::from_limbs)
@@ -246,6 +270,48 @@ proptest! {
         }
     }
 
+    /// Jacobi ≡ the Euler criterion on the two fixed protocol domains,
+    /// for numerators of 1–8 limbs, ones at or above `p` (reduced
+    /// first), multiples of `p` (symbol 0), and in every case the
+    /// one-limb and 72-bit (8-byte message) numerators that take the
+    /// one-division shortcut.
+    #[test]
+    fn jacobi_matches_euler_on_the_domain_primes(
+        a in prop::collection::vec(any::<u64>(), 1..=8).prop_map(Ubig::from_limbs),
+        k in 0u64..4,
+    ) {
+        let one_limb = Ubig::from_u64(a.limbs().first().copied().unwrap_or(0));
+        let short = &a % &(Ubig::one() << 72);
+        for p in domain_primes() {
+            for a in [&a, &one_limb, &short] {
+                let expect = euler_oracle(a, &p);
+                prop_assert_eq!(jacobi(a, &p), expect);
+                let shifted = a + &(&p * &Ubig::from_u64(k));
+                prop_assert_eq!(jacobi(&shifted, &p), expect, "a + {}p", k);
+            }
+            let multiple = &p * &Ubig::from_u64(k);
+            prop_assert_eq!(jacobi(&multiple, &p), 0, "{}p", k);
+        }
+    }
+
+    /// For composite odd moduli the symbol is multiplicative in both
+    /// arguments, `(ab/n) = (a/n)(b/n)` and `(a/mn) = (a/m)(a/n)`, and
+    /// `(a/1) = 1` for every `a`.
+    #[test]
+    fn jacobi_is_multiplicative_on_composite_moduli(
+        a in ubig(4),
+        b in ubig(4),
+        m in ubig_nonzero(3),
+        n in ubig_nonzero(3),
+    ) {
+        let odd = |v: Ubig| if v.is_even() { v + Ubig::one() } else { v };
+        let (m, n) = (odd(m), odd(n));
+        let mn = &m * &n;
+        prop_assert_eq!(jacobi(&(&a * &b), &n), jacobi(&a, &n) * jacobi(&b, &n));
+        prop_assert_eq!(jacobi(&a, &mn), jacobi(&a, &m) * jacobi(&a, &n));
+        prop_assert_eq!(jacobi(&a, &Ubig::one()), 1);
+    }
+
     /// Batch exponentiation is element-wise identical to one-at-a-time.
     #[test]
     fn modexp_batch_matches_pointwise(
@@ -384,4 +450,52 @@ proptest! {
 #[should_panic(expected = "division by zero")]
 fn div_rem_zero_divisor_panics() {
     let _ = Ubig::from_u64(42).div_rem(&Ubig::zero());
+}
+
+/// The QR pad search of the commutative-cipher message encoding
+/// (`CommutativeDomain::encode`): `message ‖ pad` for the first pad
+/// byte whose candidate is neither 0 nor 1 and has Jacobi symbol 1.
+/// Pinned on the executor's 8-byte glsn-set and 24-byte equality-join
+/// item shapes, for both fixed domains.
+#[test]
+fn qr_pad_search_matches_pinned_encodings() {
+    let mut join_item = 12345u64.to_be_bytes().to_vec();
+    join_item.extend_from_slice(&[0x11; 16]);
+    let messages: [&[u8]; 6] = [
+        &12345u64.to_be_bytes(),
+        &0xdead_beef_0102_0304u64.to_be_bytes(),
+        b"glsn-007",
+        &join_item,
+        b"equality-join-item-00001",
+        b"equality-join-item-00002",
+    ];
+    let pinned: [[&str; 6]; 2] = [
+        [
+            "303901",
+            "deadbeef0102030400",
+            "676c736e2d30303701",
+            "30391111111111111111111111111111111100",
+            "657175616c6974792d6a6f696e2d6974656d2d303030303103",
+            "657175616c6974792d6a6f696e2d6974656d2d303030303200",
+        ],
+        [
+            "303900",
+            "deadbeef0102030401",
+            "676c736e2d30303700",
+            "30391111111111111111111111111111111103",
+            "657175616c6974792d6a6f696e2d6974656d2d303030303100",
+            "657175616c6974792d6a6f696e2d6974656d2d303030303202",
+        ],
+    ];
+    for (p, expected) in domain_primes().iter().zip(&pinned) {
+        for (msg, hex) in messages.iter().zip(expected) {
+            let base = Ubig::from_bytes_be(msg) << 8;
+            let encoded = (0..=255u64)
+                .map(|pad| &base + &Ubig::from_u64(pad))
+                .find(|c| !c.is_zero() && !c.is_one() && jacobi(c, p) == 1)
+                .expect("a residue pad exists");
+            assert_eq!(encoded.to_hex(), *hex, "p: {} bits", p.bit_len());
+            assert_eq!(euler_oracle(&encoded, p), 1);
+        }
+    }
 }

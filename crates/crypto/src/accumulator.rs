@@ -30,9 +30,11 @@ pub struct AccumulatorParams {
     x0: Ubig,
     ctx: Arc<MontgomeryContext>,
     /// Fixed-base table over `x₀`, built on first use and shared by
-    /// every clone of these parameters. Every verification path raises
-    /// `x₀` to some combined exponent, so the table amortises across
-    /// the whole cluster lifetime.
+    /// every clone of these parameters. Batch verification raises `x₀`
+    /// to a random combination of epoch exponents, so the table
+    /// amortises across the whole cluster lifetime; plain item folds
+    /// from `x₀` run one ladder per item instead
+    /// ([`AccumulatorParams::accumulate`]).
     fixed: Arc<OnceLock<FixedBase>>,
 }
 
@@ -236,18 +238,6 @@ impl AccumulatorParams {
     #[must_use]
     pub fn power_of_start(&self, exp: &Ubig) -> Ubig {
         self.fixed_base().pow(exp)
-    }
-
-    /// Accumulates a whole collection from `x₀` in **one** fixed-base
-    /// power, `x₀^{∏ yᵢ}` — the same value [`AccumulatorParams::accumulate`]
-    /// reaches with one ladder per item.
-    #[must_use]
-    pub fn accumulate_batch(&self, items: &[&[u8]]) -> Ubig {
-        if items.is_empty() {
-            return self.x0.clone();
-        }
-        let exponent = self.batch_exponent(items);
-        self.power_of_start(&exponent)
     }
 
     /// Batch-verifies claims of the form `digestⱼ = x₀^{Eⱼ}` with one
@@ -1095,15 +1085,15 @@ mod tests {
         let p = params();
         let items: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d"];
         let sequential = p.accumulate(items.iter().copied());
-        let batched = p.accumulate_batch(&items);
-        assert_eq!(sequential, batched);
-        // And directly against the generic ladder on the same exponent.
         let exponent = p.batch_exponent(&items);
+        assert_eq!(p.power_of_start(&exponent), sequential);
+        // And directly against the generic ladder on the same exponent.
         assert_eq!(
             p.power_of_start(&exponent),
             dla_bigint::modular::modexp(p.start(), &exponent, p.modulus())
         );
-        assert_eq!(p.accumulate_batch(&[]), *p.start());
+        assert_eq!(p.power_of_start(&p.batch_exponent(&[])), *p.start());
+        assert_eq!(p.accumulate(std::iter::empty()), *p.start());
     }
 
     #[test]

@@ -207,9 +207,9 @@ impl CommutativeDomain {
                 "message too long for group encoding",
             ));
         }
-        let base = Ubig::from_bytes_be(message) << 8;
-        for pad in 0..=255u64 {
-            let candidate = &base + &Ubig::from_u64(pad);
+        let mut candidate = Ubig::from_bytes_be(message) << 8;
+        for pad in 0..=255u8 {
+            candidate.set_low_byte(pad);
             if candidate.is_zero() || candidate.is_one() {
                 continue;
             }
@@ -594,6 +594,53 @@ mod tests {
             assert_eq!(domain.decode(&elem), expect);
             // Element must be a quadratic residue (order divides q).
             assert!(modexp(&elem, domain.subgroup_order(), domain.modulus()).is_one());
+        }
+    }
+
+    /// The 8-byte glsn-set and 24-byte equality-join item shapes the
+    /// executor encodes, with the encodings (message ‖ first QR pad)
+    /// pinned on both fixed domains: a changed pad choice is a changed
+    /// ciphertext on the wire.
+    #[test]
+    fn encode_matches_pinned_vectors() {
+        let mut join_item = 12345u64.to_be_bytes().to_vec();
+        join_item.extend_from_slice(&[0x11; 16]);
+        let messages: [&[u8]; 6] = [
+            &12345u64.to_be_bytes(),
+            &0xdead_beef_0102_0304u64.to_be_bytes(),
+            b"glsn-007",
+            &join_item,
+            b"equality-join-item-00001",
+            b"equality-join-item-00002",
+        ];
+        let pinned: [(CommutativeDomain, [&str; 6]); 2] = [
+            (
+                CommutativeDomain::fixed_256(),
+                [
+                    "303901",
+                    "deadbeef0102030400",
+                    "676c736e2d30303701",
+                    "30391111111111111111111111111111111100",
+                    "657175616c6974792d6a6f696e2d6974656d2d303030303103",
+                    "657175616c6974792d6a6f696e2d6974656d2d303030303200",
+                ],
+            ),
+            (
+                CommutativeDomain::fixed_512(),
+                [
+                    "303900",
+                    "deadbeef0102030401",
+                    "676c736e2d30303700",
+                    "30391111111111111111111111111111111103",
+                    "657175616c6974792d6a6f696e2d6974656d2d303030303100",
+                    "657175616c6974792d6a6f696e2d6974656d2d303030303202",
+                ],
+            ),
+        ];
+        for (domain, expected) in &pinned {
+            for (msg, hex) in messages.iter().zip(expected) {
+                assert_eq!(domain.encode(msg).unwrap().to_hex(), *hex, "{domain:?}");
+            }
         }
     }
 
